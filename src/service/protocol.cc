@@ -7,6 +7,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "src/support/strings.h"
+
 namespace confllvm {
 
 // ---- Json construction ----
@@ -141,31 +143,6 @@ bool Json::GetBool(const std::string& key, bool def) const {
 
 namespace {
 
-void AppendEscaped(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (const char c : s) {
-    const unsigned char u = static_cast<unsigned char>(c);
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      case '\b': *out += "\\b"; break;
-      case '\f': *out += "\\f"; break;
-      default:
-        if (u < 0x20) {
-          char buf[8];
-          snprintf(buf, sizeof buf, "\\u%04x", u);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
 void DumpTo(const Json& j, std::string* out);
 
 void DumpTo(const Json& j, std::string* out) {
@@ -192,7 +169,7 @@ void DumpTo(const Json& j, std::string* out) {
       *out += buf;
       break;
     case Json::Kind::kString:
-      AppendEscaped(j.AsString(), out);
+      AppendJsonString(j.AsString(), out);
       break;
     case Json::Kind::kArray: {
       out->push_back('[');
@@ -211,7 +188,7 @@ void DumpTo(const Json& j, std::string* out) {
       for (const auto& kv : j.members()) {
         if (!first) out->push_back(',');
         first = false;
-        AppendEscaped(kv.first, out);
+        AppendJsonString(kv.first, out);
         out->push_back(':');
         DumpTo(kv.second, out);
       }

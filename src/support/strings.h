@@ -21,6 +21,10 @@ std::string Hex(uint64_t n);
 // True if `s` starts with `prefix`.
 bool StartsWith(const std::string& s, const std::string& prefix);
 
+// Appends `s` to `out` as a quoted JSON string literal (quotes, backslashes
+// and control characters escaped).
+void AppendJsonString(const std::string& s, std::string* out);
+
 }  // namespace confllvm
 
 #endif  // CONFLLVM_SRC_SUPPORT_STRINGS_H_

@@ -1,9 +1,7 @@
 #include "src/verifier/verifier.h"
 
 #include <algorithm>
-#include <map>
 #include <optional>
-#include <set>
 
 #include "src/isa/layout.h"
 #include "src/support/strings.h"
@@ -66,15 +64,20 @@ struct ProcInstr {
   uint8_t site_taints = 0;
 };
 
+// A procedure is a contiguous run of the flat instruction array.
 struct Proc {
   uint32_t entry_word = 0;
-  uint8_t magic_taints = 0;
-  std::vector<ProcInstr> instrs;  // in layout order
-  std::map<uint32_t, size_t> index_of_word;
-  bool has_chkstk = false;
   uint32_t end_word = 0;  // one past the last word
+  uint32_t first = 0;     // index of the entry instruction in instrs_
+  uint32_t size = 0;      // number of instructions
+  uint8_t magic_taints = 0;
+  bool has_chkstk = false;
 };
 
+// All tables are dense and index-addressed: words map to instructions
+// through one vector over the code, and per-procedure facts (leaders,
+// direct-jump targets, block in-states) live in scratch vectors indexed by
+// the instruction's position in its procedure, reused across procedures.
 class VerifierImpl {
  public:
   explicit VerifierImpl(const LoadedProgram& prog) : prog_(prog), bin_(prog.binary) {}
@@ -89,8 +92,8 @@ class VerifierImpl {
       return Finish();
     }
     CheckMagicUniqueness();
-    for (Proc& p : procs_) {
-      CheckProcedure(&p);
+    for (const Proc& p : procs_) {
+      CheckProcedure(p);
     }
     return Finish();
   }
@@ -119,8 +122,9 @@ class VerifierImpl {
     // Procedure entries are the words following MCall magic values. The
     // exit stubs appended by the loader live after all procedures; we stop
     // each procedure at the next MCall magic or at an exit stub.
+    const uint32_t code_size = static_cast<uint32_t>(bin_.code.size());
     std::vector<uint32_t> entries;
-    for (uint32_t w = 0; w < bin_.code.size(); ++w) {
+    for (uint32_t w = 0; w < code_size; ++w) {
       if (IsCallMagic(bin_.code[w])) {
         entries.push_back(w + 1);
       }
@@ -130,26 +134,26 @@ class VerifierImpl {
       return;
     }
     const uint32_t code_end = std::min<uint32_t>(
-        static_cast<uint32_t>(bin_.code.size()),
-        std::min(prog_.exit_stub_word[0], prog_.exit_stub_word[1]));
+        code_size, std::min(prog_.exit_stub_word[0], prog_.exit_stub_word[1]));
+    index_of_word_.assign(code_size, -1);
+    instrs_.reserve(code_size);
+    procs_.reserve(entries.size());
     for (size_t i = 0; i < entries.size(); ++i) {
       Proc p;
       p.entry_word = entries[i];
       p.magic_taints = MagicTaintsOf(bin_.code[entries[i] - 1]);
-      const uint32_t end =
-          i + 1 < entries.size() ? entries[i + 1] - 1 : code_end;
-      p.end_word = end;
+      p.end_word = i + 1 < entries.size() ? entries[i + 1] - 1 : code_end;
+      p.first = static_cast<uint32_t>(instrs_.size());
       uint32_t w = p.entry_word;
-      while (w < end) {
+      while (w < p.end_word) {
+        index_of_word_[w] = static_cast<int32_t>(instrs_.size() - p.first);
+        ProcInstr& pi = instrs_.emplace_back();
+        pi.word = w;
         if (IsRetMagic(bin_.code[w])) {
           // Valid return site (must immediately follow a call; checked in
           // the dataflow stage).
-          ProcInstr pi;
-          pi.word = w;
           pi.is_ret_site_magic = true;
           pi.site_taints = MagicTaintsOf(bin_.code[w]);
-          p.index_of_word[w] = p.instrs.size();
-          p.instrs.push_back(pi);
           ++w;
           continue;
         }
@@ -159,18 +163,14 @@ class VerifierImpl {
           Err(w, "disassembly failed inside procedure");
           return;
         }
-        payload_words_ += consumed - 1;
-        ProcInstr pi;
-        pi.word = w;
         pi.mi = *mi;
-        p.index_of_word[w] = p.instrs.size();
-        p.instrs.push_back(pi);
         if (mi->op == Op::kChkstk) {
           p.has_chkstk = true;
         }
         w += consumed;
       }
-      procs_.push_back(std::move(p));
+      p.size = static_cast<uint32_t>(instrs_.size()) - p.first;
+      procs_.push_back(p);
     }
   }
 
@@ -178,20 +178,23 @@ class VerifierImpl {
     // Every magic-prefixed word must be a procedure-entry MCall, a decoded
     // MRet return site, or a loader exit stub. Anything else means the
     // prefix also appears as data — the assumption of §4 is violated.
-    std::set<uint32_t> legit;
+    std::vector<uint8_t> legit(bin_.code.size(), 0);
     for (const Proc& p : procs_) {
-      legit.insert(p.entry_word - 1);
-      for (const ProcInstr& pi : p.instrs) {
-        if (pi.is_ret_site_magic) {
-          legit.insert(pi.word);
-        }
+      legit[p.entry_word - 1] = 1;
+    }
+    for (const ProcInstr& pi : instrs_) {
+      if (pi.is_ret_site_magic) {
+        legit[pi.word] = 1;
       }
     }
-    legit.insert(prog_.exit_stub_word[0]);
-    legit.insert(prog_.exit_stub_word[1]);
+    for (const uint32_t stub : prog_.exit_stub_word) {
+      if (stub < legit.size()) {
+        legit[stub] = 1;
+      }
+    }
     for (uint32_t w = 0; w < bin_.code.size(); ++w) {
       const uint64_t v = bin_.code[w];
-      if ((IsCallMagic(v) || IsRetMagic(v)) && legit.count(w) == 0) {
+      if ((IsCallMagic(v) || IsRetMagic(v)) && legit[w] == 0) {
         Err(w, "magic prefix appears outside a legitimate site");
       }
     }
@@ -199,37 +202,46 @@ class VerifierImpl {
 
   // ---- stage 2: per-procedure dataflow & checks ----
 
-  struct Analysis {
-    Proc* p;
-    std::vector<size_t> leaders;             // instruction indices
-    std::map<size_t, RegState> block_in;     // by leader index
-  };
-
-  bool InProc(const Proc& p, uint32_t word) const {
-    return word >= p.entry_word && word < p.end_word &&
-           p.index_of_word.count(word) != 0;
+  // Index of the instruction starting at `word` within the current
+  // procedure, or -1 when the word is outside it or not an instruction
+  // start.
+  int32_t IndexOf(uint32_t word) const {
+    if (word < proc_->entry_word || word >= proc_->end_word) {
+      return -1;
+    }
+    return index_of_word_[word];
   }
 
-  void CheckProcedure(Proc* p) {
+  void CheckProcedure(const Proc& p) {
+    proc_ = &p;
+    ins_ = instrs_.data() + p.first;
+    const size_t n = p.size;
+    if (n == 0) {
+      Err(p.entry_word, "control can fall off the end of the procedure");
+      return;
+    }
     // Block leaders: entry + jump targets + instruction after any branch,
-    // call return-site, or terminator.
-    std::set<size_t> leaders;
-    leaders.insert(0);
-    for (size_t i = 0; i < p->instrs.size(); ++i) {
-      const ProcInstr& pi = p->instrs[i];
+    // call return-site, or terminator. Direct-jump targets are kept apart:
+    // they bound the backward guard and CFI-pattern scans.
+    leader_.assign(n, 0);
+    jump_target_.assign(n, 0);
+    leader_[0] = 1;
+    for (size_t i = 0; i < n; ++i) {
+      const ProcInstr& pi = ins_[i];
       if (pi.is_ret_site_magic) {
         continue;
       }
       const Op op = pi.mi.op;
       if (op == Op::kJmp || op == Op::kJnz || op == Op::kJz) {
-        const uint32_t target = static_cast<uint32_t>(pi.mi.imm);
-        if (!InProc(*p, target)) {
+        const int32_t target = IndexOf(static_cast<uint32_t>(pi.mi.imm));
+        if (target < 0) {
           Err(pi.word, "jump target outside the procedure");
           return;
         }
-        leaders.insert(p->index_of_word[target]);
-        if (i + 1 < p->instrs.size()) {
-          leaders.insert(i + 1);
+        leader_[target] = 1;
+        jump_target_[target] = 1;
+        if (i + 1 < n) {
+          leader_[i + 1] = 1;
         }
       }
       if (op == Op::kRet) {
@@ -239,76 +251,75 @@ class VerifierImpl {
     }
 
     // Worklist dataflow across blocks.
-    std::map<size_t, RegState> in_state;
-    in_state[0] = RegState::Entry(p->magic_taints);
-    std::vector<size_t> work{0};
-    std::set<size_t> visited;
-    while (!work.empty()) {
-      const size_t leader = work.back();
-      work.pop_back();
-      visited.insert(leader);
-      RegState s = in_state.at(leader);
+    in_state_.resize(n);
+    has_state_.assign(n, 0);
+    in_state_[0] = RegState::Entry(p.magic_taints);
+    has_state_[0] = 1;
+    work_.assign(1, 0);
+    while (!work_.empty()) {
+      const size_t leader = work_.back();
+      work_.pop_back();
+      RegState s = in_state_[leader];
       size_t i = leader;
       bool fell_off = true;
-      while (i < p->instrs.size()) {
-        if (i != leader && leaders.count(i) != 0) {
+      while (i < n) {
+        if (i != leader && leader_[i] != 0) {
           // Fall into the next block.
-          Propagate(p, &in_state, &work, i, s);
+          Propagate(i, s);
           fell_off = false;
           break;
         }
         int next_delta = 1;
-        const bool cont = Transfer(p, i, &s, &in_state, &work, leaders, &next_delta);
+        const bool cont = Transfer(i, &s, &next_delta);
         if (!cont) {
           fell_off = false;
           break;
         }
         i += next_delta;
       }
-      if (fell_off && i >= p->instrs.size()) {
-        Err(p->entry_word, "control can fall off the end of the procedure");
+      if (fell_off && i >= n) {
+        Err(p.entry_word, "control can fall off the end of the procedure");
         return;
       }
       // Revisit logic handled inside Propagate (monotone merge).
-      if (!result_.errors.empty() && result_.errors.size() > 64) {
+      if (result_.errors.size() > 64) {
         return;  // avoid error floods
       }
     }
-    result_.instructions += p->instrs.size();
+    result_.instructions += n;
   }
 
-  void Propagate(Proc* p, std::map<size_t, RegState>* in_state,
-                 std::vector<size_t>* work, size_t leader, const RegState& s) {
-    auto it = in_state->find(leader);
-    if (it == in_state->end()) {
-      (*in_state)[leader] = s;
-      work->push_back(leader);
-    } else if (it->second.MergeFrom(s)) {
-      work->push_back(leader);
+  void Propagate(size_t leader, const RegState& s) {
+    if (has_state_[leader] == 0) {
+      in_state_[leader] = s;
+      has_state_[leader] = 1;
+      work_.push_back(static_cast<uint32_t>(leader));
+    } else if (in_state_[leader].MergeFrom(s)) {
+      work_.push_back(static_cast<uint32_t>(leader));
     }
   }
 
   // Returns the taint/region of a memory operand if the access is properly
   // guarded at instruction index i, or nullopt with an error.
-  std::optional<T> GuardedRegion(Proc* p, size_t i, const MInstr& mi) {
+  std::optional<T> GuardedRegion(size_t i, const MInstr& mi) {
     const MemOperand& m = mi.mem;
     if (bin_.scheme == Scheme::kSeg) {
       if (m.seg == Seg::kNone) {
-        Err(p->instrs[i].word, "segment-scheme access without fs/gs prefix");
+        Err(ins_[i].word, "segment-scheme access without fs/gs prefix");
         return std::nullopt;
       }
       return m.seg == Seg::kGs ? T::kH : T::kL;
     }
     // MPX scheme.
     if (m.seg != Seg::kNone) {
-      Err(p->instrs[i].word, "unexpected segment prefix under MPX scheme");
+      Err(ins_[i].word, "unexpected segment prefix under MPX scheme");
       return std::nullopt;
     }
     if (m.base == kRegSp) {
       // Stack access: sound only under chkstk, with the displacement inside
       // a guard band of the public frame or the OFFSET-shifted private one.
-      if (!p->has_chkstk) {
-        Err(p->instrs[i].word, "unchecked stack access without chkstk");
+      if (!proc_->has_chkstk) {
+        Err(ins_[i].word, "unchecked stack access without chkstk");
         return std::nullopt;
       }
       const int64_t d = m.disp;
@@ -324,7 +335,7 @@ class VerifierImpl {
           d < static_cast<int64_t>(kMpxStackOffset + kMpxGuardDispLimit)) {
         return T::kH;
       }
-      Err(p->instrs[i].word, "stack displacement outside guard bands");
+      Err(ins_[i].word, "stack displacement outside guard bands");
       return std::nullopt;
     }
     // Pointer access: find a dominating bndcl/bndcu pair in this block with
@@ -333,7 +344,12 @@ class VerifierImpl {
     bool saw_lower = false;
     bool saw_upper = false;
     for (size_t k = i; k-- > 0;) {
-      const ProcInstr& prev = p->instrs[k];
+      // A direct-jump target between the check and the access (or at the
+      // access itself) lets control skip the check.
+      if (jump_target_[k + 1] != 0) {
+        break;
+      }
+      const ProcInstr& prev = ins_[k];
       if (prev.is_ret_site_magic) {
         break;  // a call site ends the window
       }
@@ -367,14 +383,14 @@ class VerifierImpl {
           return bnd == 1 ? T::kH : T::kL;
         }
       }
-      // Block boundary: stop at leaders (conservatively only scan linearly
-      // backwards; the emitter always keeps check and access in one block).
+      // Block boundary: stop at branches and terminators (the emitter
+      // always keeps check and access in one block).
       if (op == Op::kJmp || op == Op::kJnz || op == Op::kJz || op == Op::kJmpReg ||
           op == Op::kTrap || op == Op::kHalt) {
         break;
       }
     }
-    Err(p->instrs[i].word, "memory access without a dominating bounds check");
+    Err(ins_[i].word, "memory access without a dominating bounds check");
     return std::nullopt;
   }
 
@@ -436,10 +452,8 @@ class VerifierImpl {
 
   // Transfer function for one instruction; updates s, pushes successor
   // blocks. Returns false if control does not continue to i+delta.
-  bool Transfer(Proc* p, size_t i, RegState* s, std::map<size_t, RegState>* in_state,
-                std::vector<size_t>* work, const std::set<size_t>& leaders,
-                int* next_delta) {
-    const ProcInstr& pi = p->instrs[i];
+  bool Transfer(size_t i, RegState* s, int* next_delta) {
+    const ProcInstr& pi = ins_[i];
     if (pi.is_ret_site_magic) {
       Err(pi.word, "return-site magic not immediately after a call");
       return false;
@@ -501,7 +515,7 @@ class VerifierImpl {
         if (!CtAddrPublic(pi, mi, *s)) {
           return false;
         }
-        auto region = GuardedRegion(p, i, mi);
+        auto region = GuardedRegion(i, mi);
         if (!region.has_value()) {
           return false;
         }
@@ -512,7 +526,7 @@ class VerifierImpl {
         if (!CtAddrPublic(pi, mi, *s)) {
           return false;
         }
-        auto region = GuardedRegion(p, i, mi);
+        auto region = GuardedRegion(i, mi);
         if (!region.has_value()) {
           return false;
         }
@@ -526,7 +540,7 @@ class VerifierImpl {
         if (!CtAddrPublic(pi, mi, *s)) {
           return false;
         }
-        auto region = GuardedRegion(p, i, mi);
+        auto region = GuardedRegion(i, mi);
         if (!region.has_value()) {
           return false;
         }
@@ -537,7 +551,7 @@ class VerifierImpl {
         if (!CtAddrPublic(pi, mi, *s)) {
           return false;
         }
-        auto region = GuardedRegion(p, i, mi);
+        auto region = GuardedRegion(i, mi);
         if (!region.has_value()) {
           return false;
         }
@@ -579,8 +593,7 @@ class VerifierImpl {
         r[mi.rd] = T::kL;
         return true;
       case Op::kJmp: {
-        const size_t target = p->index_of_word.at(static_cast<uint32_t>(mi.imm));
-        Propagate(p, in_state, work, target, *s);
+        Propagate(IndexOf(static_cast<uint32_t>(mi.imm)), *s);
         return false;
       }
       case Op::kJnz:
@@ -589,19 +602,18 @@ class VerifierImpl {
           Err(pi.word, "branch on a private value (implicit flow)");
           return false;
         }
-        const size_t target = p->index_of_word.at(static_cast<uint32_t>(mi.imm));
-        Propagate(p, in_state, work, target, *s);
+        Propagate(IndexOf(static_cast<uint32_t>(mi.imm)), *s);
         *next_delta = 1;
         return true;  // fall-through continues
       }
       case Op::kCall:
-        return CheckDirectCall(p, i, s, next_delta);
+        return CheckDirectCall(i, s, next_delta);
       case Op::kICall:
-        return CheckIndirectCall(p, i, s, next_delta);
+        return CheckIndirectCall(i, s, next_delta);
       case Op::kCallExt:
-        return CheckTrustedCall(p, i, s);
+        return CheckTrustedCall(i, s);
       case Op::kJmpReg:
-        return CheckCfiReturn(p, i, s);
+        return CheckCfiReturn(i, s);
       case Op::kLoadCode:
         r[mi.rd] = T::kL;
         return true;
@@ -627,11 +639,11 @@ class VerifierImpl {
     }
   }
 
-  bool CheckCallTaints(Proc* p, size_t i, const RegState& s, uint8_t callee_bits) {
+  bool CheckCallTaints(size_t i, const RegState& s, uint8_t callee_bits) {
     for (int a = 0; a < 4; ++a) {
       const T expected = ((callee_bits >> a) & 1) != 0 ? T::kH : T::kL;
       if (!Le(s.r[kRegArg0 + a], expected)) {
-        Err(p->instrs[i].word,
+        Err(ins_[i].word,
             StrFormat("argument register r%d taint exceeds callee's expectation", a + 1));
         return false;
       }
@@ -654,28 +666,28 @@ class VerifierImpl {
     s->r[kRegRet] = ret_bit != 0 ? T::kH : T::kL;
   }
 
-  bool CheckDirectCall(Proc* p, size_t i, RegState* s, int* next_delta) {
-    const MInstr& mi = p->instrs[i].mi;
+  bool CheckDirectCall(size_t i, RegState* s, int* next_delta) {
+    const MInstr& mi = ins_[i].mi;
     const uint32_t target = static_cast<uint32_t>(mi.imm);
     if (target == 0 || target > bin_.code.size() ||
         !IsCallMagic(bin_.code[target - 1])) {
-      Err(p->instrs[i].word, "direct call target is not a procedure entry");
+      Err(ins_[i].word, "direct call target is not a procedure entry");
       return false;
     }
     const uint8_t callee_bits = MagicTaintsOf(bin_.code[target - 1]);
-    if (!CheckCallTaints(p, i, *s, callee_bits)) {
+    if (!CheckCallTaints(i, *s, callee_bits)) {
       return false;
     }
     // The word after the call must be a valid MRet site whose bit matches
     // the callee's return taint.
-    if (i + 1 >= p->instrs.size() || !p->instrs[i + 1].is_ret_site_magic) {
-      Err(p->instrs[i].word, "call not followed by a return-site magic");
+    if (i + 1 >= proc_->size || !ins_[i + 1].is_ret_site_magic) {
+      Err(ins_[i].word, "call not followed by a return-site magic");
       return false;
     }
-    const uint8_t site_bit = p->instrs[i + 1].site_taints & 1;
+    const uint8_t site_bit = ins_[i + 1].site_taints & 1;
     const uint8_t callee_ret = (callee_bits >> 4) & 1;
     if (site_bit != callee_ret) {
-      Err(p->instrs[i].word, "return-site taint does not match callee return taint");
+      Err(ins_[i].word, "return-site taint does not match callee return taint");
       return false;
     }
     AfterCall(s, site_bit);
@@ -683,15 +695,15 @@ class VerifierImpl {
     return true;
   }
 
-  bool CheckTrustedCall(Proc* p, size_t i, RegState* s) {
-    const MInstr& mi = p->instrs[i].mi;
+  bool CheckTrustedCall(size_t i, RegState* s) {
+    const MInstr& mi = ins_[i].mi;
     const uint32_t idx = static_cast<uint32_t>(mi.imm);
     if (idx >= bin_.imports.size()) {
-      Err(p->instrs[i].word, "trusted call to unknown import slot");
+      Err(ins_[i].word, "trusted call to unknown import slot");
       return false;
     }
     const uint8_t bits = bin_.imports[idx].taint_bits;
-    if (!CheckCallTaints(p, i, *s, bits)) {
+    if (!CheckCallTaints(i, *s, bits)) {
       return false;
     }
     AfterCall(s, (bits >> 4) & 1);
@@ -703,11 +715,11 @@ class VerifierImpl {
   //   addimm scr2, rt, -8 ; loadcode scr2, scr2 ; movimm64 scr1, ~magic ;
   //   not scr1 ; cmp.ne scr2, scr2, scr1 ; jnz scr2, trap ; [pop rt] ;
   //   icall rt
-  bool CheckIndirectCall(Proc* p, size_t i, RegState* s, int* next_delta) {
-    const MInstr& icall = p->instrs[i].mi;
+  bool CheckIndirectCall(size_t i, RegState* s, int* next_delta) {
+    const MInstr& icall = ins_[i].mi;
     const uint8_t rt = icall.rs1;
     if (!Le(s->r[rt], T::kL)) {
-      Err(p->instrs[i].word, "indirect call through a private register");
+      Err(ins_[i].word, "indirect call through a private register");
       return false;
     }
     // Find the expected-magic immediate and the guarding compare/branch in
@@ -719,7 +731,10 @@ class VerifierImpl {
     bool found_loadcode = false;
     const size_t lo = i >= 10 ? i - 10 : 0;
     for (size_t k = i; k-- > lo;) {
-      const ProcInstr& prev = p->instrs[k];
+      if (jump_target_[k + 1] != 0) {
+        break;  // control can enter the pattern past this point
+      }
+      const ProcInstr& prev = ins_[k];
       if (prev.is_ret_site_magic) {
         break;
       }
@@ -731,9 +746,8 @@ class VerifierImpl {
         found_cmp = true;
       } else if (op == Op::kJnz && !found_jnz) {
         const uint32_t t = static_cast<uint32_t>(prev.mi.imm);
-        auto it = p->index_of_word.find(t);
-        found_jnz = it != p->index_of_word.end() &&
-                    p->instrs[it->second].mi.op == Op::kTrap;
+        const int32_t ti = IndexOf(t);
+        found_jnz = ti >= 0 && ins_[ti].mi.op == Op::kTrap;
       } else if (op == Op::kLoadCode) {
         found_loadcode = true;
       } else if (op == Op::kCall || op == Op::kICall || op == Op::kCallExt) {
@@ -744,24 +758,24 @@ class VerifierImpl {
       }
     }
     if (!found_imm || !found_cmp || !found_jnz || !found_loadcode) {
-      Err(p->instrs[i].word, "indirect call without a magic-sequence check");
+      Err(ins_[i].word, "indirect call without a magic-sequence check");
       return false;
     }
     if (!IsCallMagic(expected)) {
-      Err(p->instrs[i].word, "indirect-call check does not test an MCall magic");
+      Err(ins_[i].word, "indirect-call check does not test an MCall magic");
       return false;
     }
     const uint8_t bits = MagicTaintsOf(expected);
-    if (!CheckCallTaints(p, i, *s, bits)) {
+    if (!CheckCallTaints(i, *s, bits)) {
       return false;
     }
-    if (i + 1 >= p->instrs.size() || !p->instrs[i + 1].is_ret_site_magic) {
-      Err(p->instrs[i].word, "indirect call not followed by a return-site magic");
+    if (i + 1 >= proc_->size || !ins_[i + 1].is_ret_site_magic) {
+      Err(ins_[i].word, "indirect call not followed by a return-site magic");
       return false;
     }
-    const uint8_t site_bit = p->instrs[i + 1].site_taints & 1;
+    const uint8_t site_bit = ins_[i + 1].site_taints & 1;
     if (site_bit != ((bits >> 4) & 1)) {
-      Err(p->instrs[i].word, "return-site taint mismatch at indirect call");
+      Err(ins_[i].word, "return-site taint mismatch at indirect call");
       return false;
     }
     AfterCall(s, site_bit);
@@ -771,7 +785,7 @@ class VerifierImpl {
 
   // Pattern: pop r1 ; movimm64 r2, ~(MRet|bit) ; not r2 ; loadcode r3, r1 ;
   //          cmp.ne r3, r3, r2 ; jnz r3, trap ; addimm r1, r1, 8 ; jmpreg r1
-  bool CheckCfiReturn(Proc* p, size_t i, RegState* s) {
+  bool CheckCfiReturn(size_t i, RegState* s) {
     uint64_t expected = 0;
     bool found_imm = false;
     bool found_cmp = false;
@@ -780,17 +794,19 @@ class VerifierImpl {
     bool found_pop = false;
     const size_t lo = i >= 10 ? i - 10 : 0;
     for (size_t k = i; k-- > lo;) {
-      const Op op = p->instrs[k].mi.op;
+      if (jump_target_[k + 1] != 0) {
+        break;  // control can enter the pattern past this point
+      }
+      const Op op = ins_[k].mi.op;
       if (op == Op::kMovImm64 && !found_imm) {
-        expected = ~static_cast<uint64_t>(p->instrs[k].mi.imm64);
+        expected = ~static_cast<uint64_t>(ins_[k].mi.imm64);
         found_imm = true;
-      } else if (op == Op::kCmp && p->instrs[k].mi.cc == Cond::kNe) {
+      } else if (op == Op::kCmp && ins_[k].mi.cc == Cond::kNe) {
         found_cmp = true;
       } else if (op == Op::kJnz && !found_jnz) {
-        const uint32_t t = static_cast<uint32_t>(p->instrs[k].mi.imm);
-        auto it = p->index_of_word.find(t);
-        found_jnz = it != p->index_of_word.end() &&
-                    p->instrs[it->second].mi.op == Op::kTrap;
+        const uint32_t t = static_cast<uint32_t>(ins_[k].mi.imm);
+        const int32_t ti = IndexOf(t);
+        found_jnz = ti >= 0 && ins_[ti].mi.op == Op::kTrap;
       } else if (op == Op::kLoadCode) {
         found_loadcode = true;
       } else if (op == Op::kPop) {
@@ -801,22 +817,22 @@ class VerifierImpl {
       }
     }
     if (!found_imm || !found_cmp || !found_jnz || !found_loadcode || !found_pop) {
-      Err(p->instrs[i].word, "indirect jump outside the CFI return pattern");
+      Err(ins_[i].word, "indirect jump outside the CFI return pattern");
       return false;
     }
     if (!IsRetMagic(expected)) {
-      Err(p->instrs[i].word, "return check does not test an MRet magic");
+      Err(ins_[i].word, "return check does not test an MRet magic");
       return false;
     }
     const uint8_t bit = MagicTaintsOf(expected) & 1;
     const T declared = bit != 0 ? T::kH : T::kL;
     if (!Le(s->r[kRegRet], declared)) {
-      Err(p->instrs[i].word, "return value taint exceeds the declared return taint");
+      Err(ins_[i].word, "return value taint exceeds the declared return taint");
       return false;
     }
-    const uint8_t fn_ret = (p->magic_taints >> 4) & 1;
+    const uint8_t fn_ret = (proc_->magic_taints >> 4) & 1;
     if (bit != fn_ret) {
-      Err(p->instrs[i].word, "return magic taint differs from the procedure's");
+      Err(ins_[i].word, "return magic taint differs from the procedure's");
       return false;
     }
     return false;  // terminal
@@ -826,7 +842,16 @@ class VerifierImpl {
   const Binary& bin_;
   VerifyResult result_;
   std::vector<Proc> procs_;
-  size_t payload_words_ = 0;
+  std::vector<ProcInstr> instrs_;      // every procedure's, in layout order
+  std::vector<int32_t> index_of_word_;  // word -> index in its procedure, or -1
+  // Scratch for the procedure being checked, reused across procedures.
+  const Proc* proc_ = nullptr;
+  const ProcInstr* ins_ = nullptr;
+  std::vector<uint8_t> leader_;
+  std::vector<uint8_t> jump_target_;
+  std::vector<RegState> in_state_;
+  std::vector<uint8_t> has_state_;
+  std::vector<uint32_t> work_;
 };
 
 }  // namespace

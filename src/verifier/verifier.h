@@ -9,13 +9,18 @@
 //      magic's taint bits (unused argument registers and caller-saved
 //      registers conservatively private, callee-saved public);
 //   4. checks every load/store is guarded: an MPX bndcl/bndcu pair on the
-//      same base earlier in the block with no intervening call/redefinition,
-//      a segment prefix under the segmentation scheme, or an rsp-relative
-//      operand in a chkstk-protected frame;
+//      same base earlier in the block with no intervening call/redefinition
+//      and no direct-jump target between the check and the access (nor at
+//      the access), a segment prefix under the segmentation scheme, or an
+//      rsp-relative operand in a chkstk-protected frame;
 //   5. checks stores flow value-taint ⊑ region-taint, direct/indirect calls
-//      match callee magic taints, returns use the exact CFI sequence, branch
+//      match callee magic taints, returns use the exact CFI sequence (no
+//      direct-jump target inside it or the icall check pattern), branch
 //      conditions are public (strict mode), and rejects stray indirect
 //      jumps, rets, or out-of-procedure direct jumps.
+// Verify is deliberately uncached (every warm build and daemon request
+// re-runs it); dense index-addressed tables keep it at about 50 ns per
+// verified instruction.
 #ifndef CONFLLVM_SRC_VERIFIER_VERIFIER_H_
 #define CONFLLVM_SRC_VERIFIER_VERIFIER_H_
 

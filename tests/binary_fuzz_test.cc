@@ -9,11 +9,15 @@
 // The corpus is real compiler output (several sources × instrumentation
 // presets), mutated by a seeded deterministic Rng: bit flips, byte
 // overwrites, truncations, and appends. Mutants that still deserialize are
-// pushed all the way through load, a short reference-engine execution, and
-// a link against a pristine module.
+// pushed all the way through load, ConfVerify, a short reference-engine
+// execution, and a link against a pristine module. A second loop rewrites
+// the code words of loaded programs directly — jump targets at and past
+// every procedure and code boundary, stray magic words, hostile exit-stub
+// words — since ConfVerify's tables are indexed by those word offsets.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,6 +28,7 @@
 #include "src/runtime/loader.h"
 #include "src/runtime/trusted.h"
 #include "src/support/rng.h"
+#include "src/verifier/verifier.h"
 #include "src/vm/vm.h"
 
 namespace confllvm {
@@ -133,7 +138,11 @@ void RunMutant(const std::vector<uint8_t>& mutant, BuildPreset preset,
     EXPECT_TRUE(diags.HasErrors());
     return;
   }
-  // Loaded: a short bounded run must fault or finish, never escape. The
+  // Loaded: ConfVerify must reach a verdict (either one) without reading
+  // outside its tables.
+  const VerifyResult verdict = Verify(*prog);
+  EXPECT_TRUE(verdict.ok || !verdict.errors.empty());
+  // A short bounded run must fault or finish, never escape. The
   // reference engine skips the per-mutant ExecImage/flat-memory build the
   // fast tiers pay.
   TrustedLib tlib({config.alloc_policy});
@@ -155,6 +164,74 @@ TEST(BinaryFuzz, MutatedBlobsNeverCrashTheDecoderLoaderLinkerOrVm) {
       SCOPED_TRACE(std::string(PresetName(entry.preset)) + " round " +
                    std::to_string(round));
       RunMutant(Mutate(entry.blob, &rng), entry.preset, pristine);
+    }
+  }
+}
+
+// Hostile code words straight into ConfVerify: a loaded program's code is
+// rewritten in place (no re-encoding layer in between), so jump and call
+// targets, magic words and exit-stub words take any value, including
+// negative offsets and words at or past the end of the code. The verdict is
+// free; the contract is a clean return, which the sanitizers check.
+TEST(BinaryFuzz, HostileCodeWordsNeverCrashConfVerify) {
+  Rng rng(0x0ddba11);
+  for (const char* src : {kLeafSource, kRichSource}) {
+    for (const BuildPreset p : {BuildPreset::kOurMpx, BuildPreset::kOurSeg}) {
+      DiagEngine diags;
+      auto cp = Compile(src, BuildConfig::For(p), &diags);
+      ASSERT_NE(cp, nullptr) << diags.ToString();
+      LoadedProgram& prog = *cp->prog;
+      ASSERT_TRUE(Verify(prog).ok);
+      std::vector<uint64_t>& code = prog.binary.code;
+      const std::vector<uint64_t> pristine = code;
+      const uint32_t pristine_stubs[2] = {prog.exit_stub_word[0], prog.exit_stub_word[1]};
+      const int64_t n = static_cast<int64_t>(code.size());
+      // Word offsets at the edges of every table ConfVerify indexes.
+      const int64_t edges[] = {-1, 0, 1, n - 2, n - 1, n, n + 1,
+                               INT32_MAX, INT32_MIN, pristine_stubs[0],
+                               pristine_stubs[1]};
+      const auto pick_target = [&]() -> int64_t {
+        return rng.Chance(0.5) ? edges[rng.Below(std::size(edges))]
+                               : rng.Range(-4, n + 4);
+      };
+      for (int round = 0; round < 400; ++round) {
+        SCOPED_TRACE(std::string(PresetName(p)) + " round " + std::to_string(round));
+        for (uint64_t edits = 1 + rng.Below(3); edits > 0; --edits) {
+          const size_t w = rng.Below(code.size());
+          uint32_t consumed = 1;
+          auto mi = Decode(code, w, &consumed);
+          switch (rng.Below(4)) {
+            case 0:  // an instruction retargeted (jumps, calls, trusted calls)
+              if (mi.has_value()) {
+                MInstr m = *mi;
+                if (rng.Chance(0.5)) {
+                  m.op = rng.Chance(0.5) ? Op::kJmp : Op::kCall;
+                }
+                m.imm = static_cast<int32_t>(pick_target());
+                std::vector<uint64_t> repl;
+                Encode(m, &repl);
+                code[w] = repl[0];
+              }
+              break;
+            case 1:  // a stray MCall / MRet magic word
+              code[w] = MakeMagicWord(rng.Chance(0.5) ? prog.binary.magic_call_prefix
+                                                      : prog.binary.magic_ret_prefix,
+                                      static_cast<uint8_t>(rng.Below(32)));
+              break;
+            case 2:  // arbitrary bits
+              code[w] ^= uint64_t{1} << rng.Below(64);
+              break;
+            default:  // exit stubs moved anywhere, including past the code
+              prog.exit_stub_word[rng.Below(2)] = static_cast<uint32_t>(pick_target());
+              break;
+          }
+        }
+        const VerifyResult r = Verify(prog);
+        EXPECT_TRUE(r.ok || !r.errors.empty());
+        code = pristine;
+        prog.exit_stub_word[0] = pristine_stubs[0];
+        prog.exit_stub_word[1] = pristine_stubs[1];
+      }
     }
   }
 }

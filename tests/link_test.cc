@@ -18,6 +18,7 @@
 //     binaries.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 
 #include "src/driver/artifact_cache.h"
@@ -28,6 +29,7 @@
 #include "src/lang/parser.h"
 #include "src/runtime/loader.h"
 #include "src/sema/module_interface.h"
+#include "src/service/protocol.h"
 #include "src/verifier/verifier.h"
 #include "tests/test_util.h"
 
@@ -492,6 +494,37 @@ TEST(GraphHygiene, DuplicateFunctionAcrossModulesFailsTheLink) {
   LinkedBuild b = BuildAll(g, config, /*verify=*/false);
   EXPECT_FALSE(b.ok);
   EXPECT_TRUE(b.diags.Contains("defined in module")) << AllDiags(b);
+}
+
+TEST(GraphHygiene, StatsJsonEscapesModuleNames) {
+  // Module names arrive from confccd `link` requests verbatim; a quote,
+  // backslash or control character in one must still yield valid JSON.
+  const std::string lib = "li\"b\\x";
+  const std::string app = "ap\tp\n";
+  DiagEngine d;
+  BuildGraph g;
+  ASSERT_TRUE(g.AddModule(lib, "int f(int x) { return x + 1; }\n", &d));
+  ASSERT_TRUE(g.AddModule(app, "import \"li\\\"b\\\\x\";\nint main() { return f(1); }\n",
+                          &d))
+      << d.ToString();
+  const BuildConfig config = BuildConfig::For(BuildPreset::kOurMpx);
+  ASSERT_TRUE(g.Finalize(config, &d)) << d.ToString();
+  LinkedBuild b = BuildAll(g, config, /*verify=*/true);
+  ASSERT_TRUE(b.ok) << AllDiags(b);
+
+  Json parsed;
+  std::string err;
+  ASSERT_TRUE(Json::Parse(b.stats.ToJson(), &parsed, &err)) << err;
+  const Json* detail = parsed.Find("module_detail");
+  ASSERT_NE(detail, nullptr);
+  ASSERT_EQ(detail->items().size(), 2u);
+  std::vector<std::string> names;
+  for (const Json& m : detail->items()) {
+    names.push_back(m.GetString("name"));
+  }
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names, (std::vector<std::string>{app, lib}));
+  EXPECT_EQ(parsed.GetUInt("modules"), 2u);
 }
 
 // ---- linker mechanics ----

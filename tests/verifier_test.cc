@@ -1,10 +1,17 @@
 // ConfVerify tests: every binary ConfLLVM produces (full instrumentation)
 // verifies; targeted mutations — dropped checks, flipped taints, retargeted
-// stores, smuggled instructions — are rejected (paper §5.2: ConfVerify
-// guards against compiler bugs; it caught real ones during development).
+// stores, smuggled instructions, jumps into the middle of a check-and-access
+// or CFI sequence — are rejected (paper §5.2: ConfVerify guards against
+// compiler bugs; it caught real ones during development).
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
+#include "bench/workloads.h"
 #include "src/driver/confcc.h"
+#include "src/support/rng.h"
 #include "src/verifier/verifier.h"
 
 namespace confllvm {
@@ -285,6 +292,206 @@ TEST(VerifierRejects, BranchOnPrivateValue) {
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.ErrorText().find("branch on a private value"), std::string::npos)
       << r.ErrorText();
+}
+
+// ---- direct jumps into the middle of a guarded sequence ----
+
+// One decoded instruction of a binary's code, with the procedure it sits in
+// (procedures are numbered by the MCall magic words that precede them).
+struct CodeInstr {
+  uint32_t word;
+  int proc;
+  MInstr mi;
+};
+
+std::vector<CodeInstr> Disassemble(const LoadedProgram& prog) {
+  const Binary& bin = prog.binary;
+  const uint32_t end = std::min<uint32_t>(
+      static_cast<uint32_t>(bin.code.size()),
+      std::min(prog.exit_stub_word[0], prog.exit_stub_word[1]));
+  std::vector<CodeInstr> out;
+  int proc = -1;
+  for (uint32_t w = 0; w < end;) {
+    const uint64_t v = bin.code[w];
+    if (HasMagicShape(v) && MagicPrefixOf(v) == bin.magic_call_prefix) {
+      ++proc;
+    }
+    uint32_t consumed = 1;
+    auto mi = Decode(bin.code, w, &consumed);
+    if (mi.has_value()) {
+      out.push_back({w, proc, *mi});
+    }
+    w += consumed;
+  }
+  return out;
+}
+
+bool IsDirectJump(const MInstr& mi) {
+  return mi.op == Op::kJmp || mi.op == Op::kJnz || mi.op == Op::kJz;
+}
+
+bool IsMpxPointerAccess(const MInstr& mi) {
+  return (mi.op == Op::kLoad || mi.op == Op::kStore || mi.op == Op::kFLoad ||
+          mi.op == Op::kFStore) &&
+         mi.mem.seg == Seg::kNone && mi.mem.base != kRegSp;
+}
+
+// Rewrites `jump` as `jmp site` in place.
+void RetargetAsJmp(Binary* bin, const CodeInstr& jump, const CodeInstr& site) {
+  MInstr j = jump.mi;
+  j.op = Op::kJmp;
+  j.imm = static_cast<int32_t>(site.word);
+  std::vector<uint64_t> repl;
+  Encode(j, &repl);
+  bin->code[jump.word] = repl[0];
+}
+
+// Retargets the first direct jump that shares a procedure with an
+// instruction matching `is_site` onto that instruction. Returns false when
+// no procedure has both.
+bool RetargetFirstJumpOnto(LoadedProgram* prog,
+                           const std::function<bool(const MInstr&)>& is_site) {
+  const std::vector<CodeInstr> code = Disassemble(*prog);
+  for (const CodeInstr& site : code) {
+    if (!is_site(site.mi)) {
+      continue;
+    }
+    for (const CodeInstr& jump : code) {
+      if (jump.proc == site.proc && IsDirectJump(jump.mi)) {
+        RetargetAsJmp(&prog->binary, jump, site);
+        Redecode(prog);
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+TEST(VerifierRejects, JumpIntoGuardedAccess) {
+  // The loop's jumps share main with the bounds-checked heap accesses; a
+  // jump straight onto an access skips its bndcl/bndcu pair, even though
+  // the pair still sits right before it in layout.
+  auto s = BuildMpx(R"(
+    void *pub_malloc(int n);
+    int main() {
+      int *h = (int*)pub_malloc(8 * sizeof(int));
+      int sum = 0;
+      for (int i = 0; i < 8; i = i + 1) { h[i] = i; sum = sum + h[i]; }
+      return sum;
+    })");
+  ASSERT_TRUE(Verify(*s->compiled->prog).ok);
+  ASSERT_TRUE(RetargetFirstJumpOnto(s->compiled->prog.get(), IsMpxPointerAccess));
+  VerifyResult r = Verify(*s->compiled->prog);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.ErrorText().find("without a dominating bounds check"), std::string::npos)
+      << r.ErrorText();
+}
+
+TEST(VerifierRejects, JumpOntoCfiReturnJmpReg) {
+  // Landing on the jmpreg skips the pop / loadcode / compare of the CFI
+  // return sequence: an arbitrary return address would be taken unchecked.
+  auto s = BuildMpx(kPrograms[0]);
+  ASSERT_TRUE(Verify(*s->compiled->prog).ok);
+  ASSERT_TRUE(RetargetFirstJumpOnto(s->compiled->prog.get(), [](const MInstr& mi) {
+    return mi.op == Op::kJmpReg;
+  }));
+  VerifyResult r = Verify(*s->compiled->prog);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.ErrorText().find("outside the CFI return pattern"), std::string::npos)
+      << r.ErrorText();
+}
+
+TEST(VerifierRejects, JumpOntoGuardedIcall) {
+  // Landing on the icall skips its MCall-magic check.
+  auto s = BuildMpx(R"(
+    int f1(int x) { return x + 1; }
+    int main() {
+      int (*f)(int) = f1;
+      int sum = 0;
+      for (int i = 0; i < 4; i = i + 1) { sum = sum + f(i); }
+      return sum;
+    })");
+  ASSERT_TRUE(Verify(*s->compiled->prog).ok);
+  ASSERT_TRUE(RetargetFirstJumpOnto(s->compiled->prog.get(), [](const MInstr& mi) {
+    return mi.op == Op::kICall;
+  }));
+  VerifyResult r = Verify(*s->compiled->prog);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.ErrorText().find("without a magic-sequence check"), std::string::npos)
+      << r.ErrorText();
+}
+
+// The benchmark workloads' sources: SPEC kernels, the four apps and the
+// serve kernels.
+std::vector<std::pair<std::string, const char*>> WorkloadSources() {
+  namespace wl = workloads;
+  std::vector<std::pair<std::string, const char*>> out;
+  for (int k = 0; k < wl::kNumSpecKernels; ++k) {
+    out.push_back({wl::kSpecKernels[k].name, wl::kSpecKernels[k].source});
+  }
+  out.push_back({"nginx", wl::kNginx});
+  out.push_back({"ldap", wl::kLdap});
+  out.push_back({"privado", wl::kPrivado});
+  out.push_back({"merkle", wl::kMerkle});
+  for (int k = 0; k < wl::kNumServeKernels; ++k) {
+    out.push_back({wl::kServeKernels[k].name, wl::kServeKernels[k].source});
+  }
+  return out;
+}
+
+TEST(VerifierRejects, SeededRetargetLadderOverWorkloads) {
+  // Every workload compiles to a verifying binary under both bounds
+  // schemes; every seeded rewrite of one of its direct jumps into `jmp` onto
+  // an MPX pointer access, a jmpreg or an icall of the same procedure must
+  // then be rejected.
+  constexpr int kRetargetsPerOutput = 24;
+  Rng rng(0xc0ffee14);
+  size_t outputs = 0;
+  size_t retargets = 0;
+  for (const auto& [name, src] : WorkloadSources()) {
+    for (const BuildPreset preset : {BuildPreset::kOurMpx, BuildPreset::kOurSeg}) {
+      SCOPED_TRACE(name + "/" + PresetName(preset));
+      DiagEngine diags;
+      auto cp = Compile(src, BuildConfig::For(preset), &diags);
+      ASSERT_NE(cp, nullptr) << diags.ToString();
+      LoadedProgram& prog = *cp->prog;
+      const VerifyResult pristine = Verify(prog);
+      ASSERT_TRUE(pristine.ok) << pristine.ErrorText();
+      ++outputs;
+
+      const std::vector<CodeInstr> code = Disassemble(prog);
+      std::vector<size_t> sites;
+      for (size_t i = 0; i < code.size(); ++i) {
+        const MInstr& mi = code[i].mi;
+        if (IsMpxPointerAccess(mi) || mi.op == Op::kJmpReg || mi.op == Op::kICall) {
+          sites.push_back(i);
+        }
+      }
+      ASSERT_FALSE(sites.empty());
+      for (int n = 0; n < kRetargetsPerOutput; ++n) {
+        const CodeInstr& site = code[sites[rng.Below(sites.size())]];
+        std::vector<size_t> jumps;
+        for (size_t i = 0; i < code.size(); ++i) {
+          if (code[i].proc == site.proc && IsDirectJump(code[i].mi)) {
+            jumps.push_back(i);
+          }
+        }
+        if (jumps.empty()) {
+          continue;
+        }
+        const CodeInstr& jump = code[jumps[rng.Below(jumps.size())]];
+        const uint64_t saved = prog.binary.code[jump.word];
+        RetargetAsJmp(&prog.binary, jump, site);
+        const VerifyResult r = Verify(prog);
+        EXPECT_FALSE(r.ok) << "jump at word " << jump.word << " onto "
+                           << OpName(site.mi.op) << " at word " << site.word
+                           << " was accepted";
+        prog.binary.code[jump.word] = saved;
+        ++retargets;
+      }
+    }
+  }
+  EXPECT_GE(retargets, outputs * kRetargetsPerOutput / 2);
 }
 
 }  // namespace

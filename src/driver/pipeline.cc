@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "src/driver/artifact_cache.h"
+#include "src/driver/build_request.h"
 #include "src/ir/irgen.h"
 #include "src/lang/parser.h"
 #include "src/support/fault_injection.h"
@@ -722,14 +723,14 @@ bool WantsVerify(const BuildConfig& config) {
          config.codegen.separate_stacks;
 }
 
-std::vector<BatchJob> PresetSweepJobs(const std::string& source, bool verify) {
+std::vector<BatchJob> PresetSweepJobs(const std::string& source, bool verify,
+                                      bool all_private) {
   std::vector<BatchJob> jobs;
   for (const BuildPreset p : kAllBuildPresets) {
     BatchJob job;
     job.label = PresetName(p);
     job.source = source;
-    job.config = BuildConfig::For(p);
-    job.config.whole_program = true;  // sweep compiles are single-module
+    job.config = RequestConfig(p, all_private);
     job.verify = verify && WantsVerify(job.config);
     jobs.push_back(std::move(job));
   }

@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "src/driver/build_request.h"
 #include "src/support/strings.h"
 
 namespace confllvm {
@@ -542,6 +543,66 @@ bool HexDecode(const std::string& hex, std::vector<uint8_t>* out) {
       return false;
     }
     out->push_back(static_cast<uint8_t>(hi << 4 | lo));
+  }
+  return true;
+}
+
+// ---- Build requests on the wire ----
+
+void BuildRequestToJson(const BuildRequest& req, Json* json) {
+  json->Set("preset", Json::Str(PresetName(req.preset)));
+  if (req.modules.empty()) {
+    json->Set("source", Json::Str(req.source));
+  } else {
+    Json mods = Json::Array();
+    for (const BuildModule& m : req.modules) {
+      Json jm = Json::Object();
+      jm.Set("name", Json::Str(m.name));
+      jm.Set("source", Json::Str(m.source));
+      mods.Append(std::move(jm));
+    }
+    json->Set("modules", std::move(mods));
+  }
+  if (req.verify) {
+    json->Set("verify", Json::Bool(true));
+  }
+  if (req.all_private) {
+    json->Set("all_private", Json::Bool(true));
+  }
+}
+
+bool BuildRequestFromJson(const Json& json, const std::string& verb,
+                          BuildRequest* out, std::string* err) {
+  const Json* modules = verb == "compile" ? nullptr : json.Find("modules");
+  if (modules != nullptr || verb == "link") {
+    if (modules == nullptr || !modules->is_array() || modules->items().empty()) {
+      *err = "link: missing modules";
+      return false;
+    }
+  } else {
+    out->source = json.GetString("source");
+    if (out->source.empty()) {
+      *err = verb == "compile" ? "compile: missing source"
+                               : "execute: missing source or modules";
+      return false;
+    }
+  }
+  const std::string preset = json.GetString("preset");
+  if (!preset.empty() && !ParsePresetName(preset, &out->preset)) {
+    *err = "unknown preset '" + preset + "'";
+    return false;
+  }
+  out->all_private = json.GetBool("all_private");
+  out->verify = json.GetBool("verify");
+  if (modules != nullptr) {
+    for (const Json& m : modules->items()) {
+      BuildModule bm{m.GetString("name"), m.GetString("source")};
+      if (bm.name.empty() || bm.source.empty()) {
+        *err = "link: every module needs name and source";
+        return false;
+      }
+      out->modules.push_back(std::move(bm));
+    }
   }
   return true;
 }

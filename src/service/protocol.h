@@ -23,6 +23,8 @@
 
 namespace confllvm {
 
+struct BuildRequest;  // src/driver/build_request.h
+
 // One JSON value. Tagged union over the dialect above; object member order
 // is preserved (responses render deterministically, which the byte-identity
 // tests rely on).
@@ -108,6 +110,23 @@ bool WriteFrame(int fd, const std::string& payload);
 // over the wire). Decode returns false on odd length or a non-hex digit.
 std::string HexEncode(const std::vector<uint8_t>& bytes);
 bool HexDecode(const std::string& hex, std::vector<uint8_t>* out);
+
+// ---- Build requests on the wire ----
+//
+// The build half of a compile / link / execute request: `preset`,
+// `all_private`, `verify`, and the input — `source`, or `modules`, an array
+// of {name, source} objects. confcc --connect writes it and confccd reads it
+// through these two functions only.
+
+// Sets `preset`, `source` or `modules`, and `verify` / `all_private` when
+// true.
+void BuildRequestToJson(const BuildRequest& req, Json* json);
+
+// Reads the build half of a `verb` request: `link` needs `modules`,
+// `compile` reads only `source`, `execute` takes either. False with the
+// response's error text in `err` on a malformed request.
+bool BuildRequestFromJson(const Json& json, const std::string& verb,
+                          BuildRequest* out, std::string* err);
 
 }  // namespace confllvm
 

@@ -9,9 +9,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "src/driver/build_graph.h"
-#include "src/driver/confcc.h"
-#include "src/driver/pipeline.h"
+#include "src/driver/build_request.h"
 #include "src/isa/binary.h"
 #include "src/support/fault_injection.h"
 #include "src/support/strings.h"
@@ -20,47 +18,6 @@
 namespace confllvm {
 
 namespace {
-
-bool ParsePresetName(const std::string& name, BuildPreset* out) {
-  for (const BuildPreset p : kAllBuildPresets) {
-    if (name == PresetName(p)) {
-      *out = p;
-      return true;
-    }
-  }
-  for (const BuildPreset p : kCtBuildPresets) {
-    if (name == PresetName(p)) {
-      *out = p;
-      return true;
-    }
-  }
-  return false;
-}
-
-// Mirrors confcc's ConfigFor so a request through the daemon compiles under
-// exactly the config the solo CLI would use (the byte-identity contract).
-BuildConfig ConfigForRequest(BuildPreset preset, bool all_private) {
-  BuildConfig config = BuildConfig::For(preset);
-  config.sema.all_private = all_private;
-  if (all_private) {
-    config.sema.implicit_flows = ImplicitFlowMode::kWarn;
-  }
-  config.whole_program = true;
-  return config;
-}
-
-bool ParseEngineName(const std::string& name, VmEngine* out) {
-  if (name == "ref") {
-    *out = VmEngine::kRef;
-  } else if (name == "fast") {
-    *out = VmEngine::kFast;
-  } else if (name == "trace") {
-    *out = VmEngine::kTrace;
-  } else {
-    return false;
-  }
-  return true;
-}
 
 Json StageRows(const PipelineStats& ps) {
   Json rows = Json::Array();
@@ -408,14 +365,8 @@ Json ConfccdServer::Handle(const Json& req) {
     resp.Set("stopping", Json::Bool(true));
     return resp;
   }
-  if (verb == "compile") {
-    return HandleCompile(req);
-  }
-  if (verb == "link") {
-    return HandleLink(req);
-  }
-  if (verb == "execute") {
-    return HandleExecute(req);
+  if (verb == "compile" || verb == "link" || verb == "execute") {
+    return HandleBuild(verb, req);
   }
   return ErrorResponse(verb.empty() ? "missing verb"
                                     : "unknown verb '" + verb + "'");
@@ -434,227 +385,80 @@ Json ConfccdServer::HandleStats() {
   return resp;
 }
 
-Json ConfccdServer::HandleCompile(const Json& req) {
-  const std::string source = req.GetString("source");
-  if (source.empty()) {
-    return ErrorResponse("compile: missing source");
+// compile / link / execute: read the build half of the request, build it
+// through the shared cache (single-source compiles keep one codegen worker,
+// so a request never starts a codegen pool), and render the result; execute
+// then runs the program.
+Json ConfccdServer::HandleBuild(const std::string& verb, const Json& req) {
+  BuildRequest breq;
+  std::string err;
+  if (!BuildRequestFromJson(req, verb, &breq, &err)) {
+    return ErrorResponse(err);
   }
-  BuildPreset preset = BuildPreset::kOurMpx;
-  const std::string preset_name = req.GetString("preset");
-  if (!preset_name.empty() && !ParsePresetName(preset_name, &preset)) {
-    return ErrorResponse("unknown preset '" + preset_name + "'");
+  const bool execute = verb == "execute";
+  VmOptions vm_opts;
+  if (execute) {
+    const std::string engine = req.GetString("engine");
+    if (!engine.empty() && !ParseEngineName(engine, &vm_opts.engine)) {
+      return ErrorResponse("unknown engine '" + engine + "'");
+    }
+    const uint64_t tt = req.GetUInt("trace_threshold");
+    if (tt != 0) {
+      vm_opts.trace_threshold = tt;
+    }
+    // The watchdog always arms: a request may tighten the deadline but never
+    // exceed the server's ceiling — one tenant's loop cannot wedge a worker.
+    uint64_t deadline = req.GetUInt("deadline_ms", opts_.default_deadline_ms);
+    if (deadline == 0 || deadline > opts_.max_deadline_ms) {
+      deadline = opts_.max_deadline_ms;
+    }
+    vm_opts.deadline_ms = deadline;
   }
-  const BuildConfig config =
-      ConfigForRequest(preset, req.GetBool("all_private"));
-  const bool verify = req.GetBool("verify") && WantsVerify(config);
 
-  CompilerInvocation inv(source, config);
-  inv.set_cache(&cache_);
-  if (opts_.compile_deadline_ms != 0) {
-    inv.set_deadline_ms(opts_.compile_deadline_ms);
-  }
-  const bool ok = RunStandardPipeline(&inv, verify);
+  BuildOptions bopts;
+  bopts.cache = &cache_;
+  bopts.build_jobs = opts_.build_jobs;
+  bopts.deadline_ms = opts_.compile_deadline_ms;
+  BuildResult built = Build(breq, bopts);
 
   Json resp = Json::Object();
-  resp.Set("status", Json::Str(ok ? "ok" : "error"));
-  if (!ok) {
-    resp.Set("error", Json::Str("compilation failed"));
+  resp.Set("status", Json::Str(built.ok ? "ok" : "error"));
+  if (!built.ok) {
+    resp.Set("error", Json::Str(built.error));
   }
-  resp.Set("diagnostics", Json::Str(inv.diags().ToString()));
-  resp.Set("stages", StageRows(inv.stats()));
-  resp.Set("total_ms", Json::Double(inv.stats().total_ms));
-  if (ok) {
-    auto compiled = inv.TakeProgram();
-    resp.Set("code_words",
-             Json::UInt(compiled->prog->binary.code.size()));
-    resp.Set("functions",
-             Json::UInt(compiled->prog->binary.functions.size()));
-    if (req.GetBool("want_bin")) {
-      resp.Set("bin_hex",
-               Json::Str(HexEncode(SerializeBinary(compiled->prog->binary))));
+  resp.Set("diagnostics", Json::Str(built.diagnostics));
+  if (breq.modules.empty()) {
+    resp.Set("stages", StageRows(built.stats));
+    resp.Set("total_ms", Json::Double(built.stats.total_ms));
+  } else {
+    if (verb == "link") {
+      resp.Set("graph_json", Json::Str(built.graph.ToJson()));
     }
+    resp.Set("link_cached", Json::Bool(built.graph.link_cached));
   }
-  return resp;
-}
-
-Json ConfccdServer::HandleLink(const Json& req) {
-  const Json* modules = req.Find("modules");
-  if (modules == nullptr || !modules->is_array() || modules->items().empty()) {
-    return ErrorResponse("link: missing modules");
+  if (!built.ok) {
+    return resp;
   }
-  BuildPreset preset = BuildPreset::kOurMpx;
-  const std::string preset_name = req.GetString("preset");
-  if (!preset_name.empty() && !ParsePresetName(preset_name, &preset)) {
-    return ErrorResponse("unknown preset '" + preset_name + "'");
+  const Binary& bin = built.program->prog->binary;
+  if (verb == "compile") {
+    resp.Set("code_words", Json::UInt(bin.code.size()));
+    resp.Set("functions", Json::UInt(bin.functions.size()));
   }
-  const BuildConfig config =
-      ConfigForRequest(preset, req.GetBool("all_private"));
-
-  DiagEngine gdiags;
-  BuildGraph graph;
-  for (const Json& m : modules->items()) {
-    const std::string name = m.GetString("name");
-    const std::string source = m.GetString("source");
-    if (name.empty() || source.empty()) {
-      return ErrorResponse("link: every module needs name and source");
-    }
-    if (!graph.AddModule(name, source, &gdiags)) {
-      return ErrorResponse("link: " + gdiags.ToString());
-    }
+  if (req.GetBool("want_bin")) {
+    resp.Set("bin_hex", Json::Str(HexEncode(SerializeBinary(bin))));
   }
-  if (!graph.Finalize(config, &gdiags, &cache_, opts_.build_jobs)) {
-    Json resp = ErrorResponse("link: graph finalize failed");
-    resp.Set("diagnostics", Json::Str(gdiags.ToString()));
+  if (!execute) {
     return resp;
   }
 
-  BuildScheduler::Options sopts;
-  sopts.num_workers = opts_.build_jobs;
-  sopts.verify = req.GetBool("verify") && WantsVerify(config);
-  sopts.deadline_ms = opts_.compile_deadline_ms;
-  BuildScheduler sched(&graph, config, sopts);
-  LinkedBuild build = sched.Run(&cache_);
-
-  std::string diags;
-  for (const ModuleOutcome& mo : build.modules) {
-    if (mo.invocation != nullptr &&
-        !mo.invocation->diags().diagnostics().empty()) {
-      diags += "-- module " + mo.name + " --\n";
-      diags += mo.invocation->diags().ToString();
-    }
-  }
-  diags += build.diags.ToString();
-
-  Json resp = Json::Object();
-  resp.Set("status", Json::Str(build.ok ? "ok" : "error"));
-  if (!build.ok) {
-    resp.Set("error", Json::Str("link failed"));
-  }
-  resp.Set("diagnostics", Json::Str(diags));
-  resp.Set("graph_json", Json::Str(build.stats.ToJson()));
-  resp.Set("link_cached", Json::Bool(build.stats.link_cached));
-  if (build.ok && req.GetBool("want_bin")) {
-    resp.Set("bin_hex",
-             Json::Str(HexEncode(SerializeBinary(build.prog->binary))));
-  }
-  return resp;
-}
-
-Json ConfccdServer::HandleExecute(const Json& req) {
-  // Build the program: multi-module when `modules` is present, else single
-  // source — both through the shared cache.
-  std::unique_ptr<CompiledProgram> compiled;
-  Json resp = Json::Object();
-
-  if (const Json* modules = req.Find("modules"); modules != nullptr) {
-    if (!modules->is_array() || modules->items().empty()) {
-      return ErrorResponse("link: missing modules");
-    }
-    BuildPreset preset = BuildPreset::kOurMpx;
-    const std::string preset_name = req.GetString("preset");
-    if (!preset_name.empty() && !ParsePresetName(preset_name, &preset)) {
-      return ErrorResponse("unknown preset '" + preset_name + "'");
-    }
-    const BuildConfig config =
-        ConfigForRequest(preset, req.GetBool("all_private"));
-    DiagEngine gdiags;
-    BuildGraph graph;
-    for (const Json& m : modules->items()) {
-      const std::string name = m.GetString("name");
-      const std::string msource = m.GetString("source");
-      if (name.empty() || msource.empty()) {
-        return ErrorResponse("link: every module needs name and source");
-      }
-      if (!graph.AddModule(name, msource, &gdiags)) {
-        return ErrorResponse("link: " + gdiags.ToString());
-      }
-    }
-    if (!graph.Finalize(config, &gdiags, &cache_, opts_.build_jobs)) {
-      Json err = ErrorResponse("link: graph finalize failed");
-      err.Set("diagnostics", Json::Str(gdiags.ToString()));
-      return err;
-    }
-    BuildScheduler::Options sopts;
-    sopts.num_workers = opts_.build_jobs;
-    sopts.verify = req.GetBool("verify") && WantsVerify(config);
-    sopts.deadline_ms = opts_.compile_deadline_ms;
-    BuildScheduler bsched(&graph, config, sopts);
-    LinkedBuild build = bsched.Run(&cache_);
-    if (!build.ok) {
-      Json err = ErrorResponse("link failed");
-      err.Set("diagnostics", Json::Str(build.diags.ToString()));
-      return err;
-    }
-    resp.Set("link_cached", Json::Bool(build.stats.link_cached));
-    compiled = std::make_unique<CompiledProgram>();
-    compiled->config = config;
-    compiled->prog = std::move(build.prog);
-    if (req.GetBool("want_bin")) {
-      resp.Set("bin_hex",
-               Json::Str(HexEncode(SerializeBinary(compiled->prog->binary))));
-    }
-  } else {
-    const std::string source = req.GetString("source");
-    if (source.empty()) {
-      return ErrorResponse("execute: missing source or modules");
-    }
-    BuildPreset preset = BuildPreset::kOurMpx;
-    const std::string preset_name = req.GetString("preset");
-    if (!preset_name.empty() && !ParsePresetName(preset_name, &preset)) {
-      return ErrorResponse("unknown preset '" + preset_name + "'");
-    }
-    const BuildConfig config =
-        ConfigForRequest(preset, req.GetBool("all_private"));
-    const bool verify = req.GetBool("verify") && WantsVerify(config);
-    CompilerInvocation inv(source, config);
-    inv.set_cache(&cache_);
-    if (opts_.compile_deadline_ms != 0) {
-      inv.set_deadline_ms(opts_.compile_deadline_ms);
-    }
-    if (!RunStandardPipeline(&inv, verify)) {
-      Json err = ErrorResponse("compilation failed");
-      err.Set("diagnostics", Json::Str(inv.diags().ToString()));
-      return err;
-    }
-    resp.Set("diagnostics", Json::Str(inv.diags().ToString()));
-    resp.Set("stages", StageRows(inv.stats()));
-    resp.Set("total_ms", Json::Double(inv.stats().total_ms));
-    compiled = inv.TakeProgram();
-    if (req.GetBool("want_bin")) {
-      resp.Set("bin_hex",
-               Json::Str(HexEncode(SerializeBinary(compiled->prog->binary))));
-    }
-  }
-
-  VmOptions vm_opts;
-  const std::string engine = req.GetString("engine");
-  if (!engine.empty() && !ParseEngineName(engine, &vm_opts.engine)) {
-    return ErrorResponse("unknown engine '" + engine + "'");
-  }
-  const uint64_t tt = req.GetUInt("trace_threshold");
-  if (tt != 0) {
-    vm_opts.trace_threshold = tt;
-  }
-  // The watchdog always arms: a request may tighten the deadline but never
-  // exceed the server's ceiling — one tenant's loop cannot wedge a worker.
-  uint64_t deadline = req.GetUInt("deadline_ms", opts_.default_deadline_ms);
-  if (deadline == 0 || deadline > opts_.max_deadline_ms) {
-    deadline = opts_.max_deadline_ms;
-  }
-  vm_opts.deadline_ms = deadline;
-
-  const std::string entry = req.GetString("entry", "main");
   std::vector<uint64_t> args;
   if (const Json* ja = req.Find("args"); ja != nullptr && ja->is_array()) {
     for (const Json& a : ja->items()) {
       args.push_back(a.AsUInt());
     }
   }
-
-  auto session = MakeSessionFor(std::move(compiled), vm_opts);
-  const Vm::CallResult r = session->vm->Call(entry, args);
-
-  resp.Set("status", Json::Str("ok"));
+  auto session = MakeSessionFor(std::move(built.program), vm_opts);
+  const Vm::CallResult r = session->vm->Call(req.GetString("entry", "main"), args);
   resp.Set("ran_ok", Json::Bool(r.ok));
   resp.Set("ret", Json::UInt(r.ret));
   resp.Set("cycles", Json::UInt(r.cycles));

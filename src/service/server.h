@@ -4,12 +4,12 @@
 // One daemon process owns ONE ArtifactCache (memory tier, optional disk
 // tier) and serves concurrent compile / link / execute requests from many
 // clients over a local Unix stream socket, speaking the length-prefixed
-// JSON protocol of src/service/protocol.h. Every request runs through the
-// existing PassManager / BuildScheduler machinery against that shared
-// cache, which is what extends single-flight dedup *across requests*: two
-// clients compiling the same source at the same instant share one compute,
-// and a warm daemon answers an unchanged compile from memory without
-// running a single stage.
+// JSON protocol of src/service/protocol.h. Every build request runs through
+// Build() (src/driver/build_request.h), the path solo confcc takes too,
+// against that shared cache, which is what extends single-flight dedup
+// *across requests*: two clients compiling the same source at the same
+// instant share one compute, and a warm daemon answers an unchanged compile
+// from memory without running a single stage.
 //
 // Threading model: an accept-loop thread hands each connection to a reader
 // thread; readers parse frames and submit compile/link/execute work to the
@@ -119,9 +119,7 @@ class ConfccdServer {
   // from the shared cache (and RequestShutdown for the shutdown verb).
   Json Handle(const Json& req);
 
-  Json HandleCompile(const Json& req);
-  Json HandleLink(const Json& req);
-  Json HandleExecute(const Json& req);
+  Json HandleBuild(const std::string& verb, const Json& req);
   Json HandleStats();
 
   const Options opts_;

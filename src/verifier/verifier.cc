@@ -710,11 +710,36 @@ class VerifierImpl {
     return true;
   }
 
-  // Pattern (emitted before every icall, paper §4):
-  //   [push rt]
-  //   addimm scr2, rt, -8 ; loadcode scr2, scr2 ; movimm64 scr1, ~magic ;
-  //   not scr1 ; cmp.ne scr2, scr2, scr1 ; jnz scr2, trap ; [pop rt] ;
-  //   icall rt
+  // True when ins_[first..last] is straight-line code that control can enter
+  // only at `first`: no return-site magic inside it and no direct-jump
+  // target after `first`.
+  bool StraightLine(size_t first, size_t last) const {
+    for (size_t k = first; k <= last; ++k) {
+      if (ins_[k].is_ret_site_magic || (k > first && jump_target_[k] != 0)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  // `jnz reg, trap`: the branch of a magic check.
+  bool JnzToTrap(const MInstr& mi, uint8_t reg) const {
+    if (mi.op != Op::kJnz || mi.rd != reg) {
+      return false;
+    }
+    const int32_t t = IndexOf(static_cast<uint32_t>(mi.imm));
+    return t >= 0 && ins_[t].mi.op == Op::kTrap;
+  }
+
+  // The check EmitICall places before every icall (paper §4):
+  //   addimm rB, rT, -8 ; loadcode rB, rB ; movimm64 rA, ~magic ;
+  //   not rA, rA ; cmp.ne rB, rB, rA ; jnz rB, trap ; icall rT
+  // matched at fixed offsets, so the magic tested is the one before the
+  // entry the icall jumps to. When the target sits in a register the check
+  // overwrites, it is parked on the stack around the check:
+  //   push rT ; addimm rB, rT, -8 ; ... ; jnz rB, trap ; pop rU ; icall rU
+  // with rU == rT and none of rT, rA, rB the stack pointer (so the pop
+  // reads back the pushed value).
   bool CheckIndirectCall(size_t i, RegState* s, int* next_delta) {
     const MInstr& icall = ins_[i].mi;
     const uint8_t rt = icall.rs1;
@@ -722,45 +747,39 @@ class VerifierImpl {
       Err(ins_[i].word, "indirect call through a private register");
       return false;
     }
-    // Find the expected-magic immediate and the guarding compare/branch in
-    // the preceding window.
-    uint64_t expected = 0;
-    bool found_imm = false;
-    bool found_cmp = false;
-    bool found_jnz = false;
-    bool found_loadcode = false;
-    const size_t lo = i >= 10 ? i - 10 : 0;
-    for (size_t k = i; k-- > lo;) {
-      if (jump_target_[k + 1] != 0) {
-        break;  // control can enter the pattern past this point
-      }
-      const ProcInstr& prev = ins_[k];
-      if (prev.is_ret_site_magic) {
-        break;
-      }
-      const Op op = prev.mi.op;
-      if (op == Op::kMovImm64 && !found_imm) {
-        expected = ~static_cast<uint64_t>(prev.mi.imm64);
-        found_imm = true;
-      } else if (op == Op::kCmp && prev.mi.cc == Cond::kNe) {
-        found_cmp = true;
-      } else if (op == Op::kJnz && !found_jnz) {
-        const uint32_t t = static_cast<uint32_t>(prev.mi.imm);
-        const int32_t ti = IndexOf(t);
-        found_jnz = ti >= 0 && ins_[ti].mi.op == Op::kTrap;
-      } else if (op == Op::kLoadCode) {
-        found_loadcode = true;
-      } else if (op == Op::kCall || op == Op::kICall || op == Op::kCallExt) {
-        break;
-      }
-      if (found_imm && found_cmp && found_jnz && found_loadcode) {
-        break;
-      }
+    const bool spilled = i >= 1 && ins_[i - 1].mi.op == Op::kPop;
+    const size_t len = spilled ? 8 : 6;  // instructions before the icall
+    const size_t c = i - (spilled ? 7 : 6);  // the addimm
+    bool match = i >= len && StraightLine(i - len, i);
+    if (match) {
+      const MInstr& addr = ins_[c].mi;
+      const MInstr& lc = ins_[c + 1].mi;
+      const MInstr& imm = ins_[c + 2].mi;
+      const MInstr& nt = ins_[c + 3].mi;
+      const MInstr& cmp = ins_[c + 4].mi;
+      const uint8_t ra = imm.rd;
+      const uint8_t rb = addr.rd;
+      // The register the check reads and the one icall jumps through hold
+      // the same value: one register the check leaves alone, or the one
+      // pushed before the check and popped into icall's register after it.
+      const bool same_target =
+          spilled ? ins_[i - 8].mi.op == Op::kPush &&
+                        ins_[i - 8].mi.rd == addr.rs1 &&
+                        ins_[i - 1].mi.rd == rt && addr.rs1 != kRegSp &&
+                        ra != kRegSp && rb != kRegSp
+                  : addr.rs1 == rt && rt != ra && rt != rb;
+      match = same_target && addr.op == Op::kAddImm && addr.imm == -8 &&
+              lc.op == Op::kLoadCode && lc.rd == rb && lc.rs1 == rb &&
+              imm.op == Op::kMovImm64 && nt.op == Op::kNot && nt.rd == ra &&
+              nt.rs1 == ra && cmp.op == Op::kCmp && cmp.cc == Cond::kNe &&
+              cmp.rd == rb && cmp.rs1 == rb && cmp.rs2 == ra && ra != rb &&
+              JnzToTrap(ins_[c + 5].mi, rb);
     }
-    if (!found_imm || !found_cmp || !found_jnz || !found_loadcode) {
+    if (!match) {
       Err(ins_[i].word, "indirect call without a magic-sequence check");
       return false;
     }
+    const uint64_t expected = ~static_cast<uint64_t>(ins_[c + 2].mi.imm64);
     if (!IsCallMagic(expected)) {
       Err(ins_[i].word, "indirect-call check does not test an MCall magic");
       return false;
@@ -783,43 +802,36 @@ class VerifierImpl {
     return true;
   }
 
-  // Pattern: pop r1 ; movimm64 r2, ~(MRet|bit) ; not r2 ; loadcode r3, r1 ;
-  //          cmp.ne r3, r3, r2 ; jnz r3, trap ; addimm r1, r1, 8 ; jmpreg r1
+  // The CFI return EmitRet emits (paper §4), matched at fixed offsets:
+  //   pop rA ; movimm64 rB, ~(MRet|bit) ; not rB, rB ; loadcode rC, rA ;
+  //   cmp.ne rC, rC, rB ; jnz rC, trap ; addimm rA, rA, 8 ; jmpreg rA
+  // with rA, rB, rC distinct, so the address jumped to is the popped one,
+  // past the MRet magic the check compared.
   bool CheckCfiReturn(size_t i, RegState* s) {
-    uint64_t expected = 0;
-    bool found_imm = false;
-    bool found_cmp = false;
-    bool found_jnz = false;
-    bool found_loadcode = false;
-    bool found_pop = false;
-    const size_t lo = i >= 10 ? i - 10 : 0;
-    for (size_t k = i; k-- > lo;) {
-      if (jump_target_[k + 1] != 0) {
-        break;  // control can enter the pattern past this point
-      }
-      const Op op = ins_[k].mi.op;
-      if (op == Op::kMovImm64 && !found_imm) {
-        expected = ~static_cast<uint64_t>(ins_[k].mi.imm64);
-        found_imm = true;
-      } else if (op == Op::kCmp && ins_[k].mi.cc == Cond::kNe) {
-        found_cmp = true;
-      } else if (op == Op::kJnz && !found_jnz) {
-        const uint32_t t = static_cast<uint32_t>(ins_[k].mi.imm);
-        const int32_t ti = IndexOf(t);
-        found_jnz = ti >= 0 && ins_[ti].mi.op == Op::kTrap;
-      } else if (op == Op::kLoadCode) {
-        found_loadcode = true;
-      } else if (op == Op::kPop) {
-        found_pop = true;
-      }
-      if (found_imm && found_cmp && found_jnz && found_loadcode && found_pop) {
-        break;
-      }
+    const uint8_t ra = ins_[i].mi.rs1;
+    bool match = i >= 7 && StraightLine(i - 7, i);
+    if (match) {
+      const MInstr& pop = ins_[i - 7].mi;
+      const MInstr& imm = ins_[i - 6].mi;
+      const MInstr& nt = ins_[i - 5].mi;
+      const MInstr& lc = ins_[i - 4].mi;
+      const MInstr& cmp = ins_[i - 3].mi;
+      const MInstr& skip = ins_[i - 1].mi;
+      const uint8_t rb = imm.rd;
+      const uint8_t rc = lc.rd;
+      match = pop.op == Op::kPop && pop.rd == ra && imm.op == Op::kMovImm64 &&
+              nt.op == Op::kNot && nt.rd == rb && nt.rs1 == rb &&
+              lc.op == Op::kLoadCode && lc.rs1 == ra && cmp.op == Op::kCmp &&
+              cmp.cc == Cond::kNe && cmp.rd == rc && cmp.rs1 == rc &&
+              cmp.rs2 == rb && JnzToTrap(ins_[i - 2].mi, rc) &&
+              skip.op == Op::kAddImm && skip.rd == ra && skip.rs1 == ra &&
+              skip.imm == 8 && ra != rb && ra != rc && rb != rc;
     }
-    if (!found_imm || !found_cmp || !found_jnz || !found_loadcode || !found_pop) {
+    if (!match) {
       Err(ins_[i].word, "indirect jump outside the CFI return pattern");
       return false;
     }
+    const uint64_t expected = ~static_cast<uint64_t>(ins_[i - 6].mi.imm64);
     if (!IsRetMagic(expected)) {
       Err(ins_[i].word, "return check does not test an MRet magic");
       return false;

@@ -14,8 +14,9 @@
 //      the access), a segment prefix under the segmentation scheme, or an
 //      rsp-relative operand in a chkstk-protected frame;
 //   5. checks stores flow value-taint ⊑ region-taint, direct/indirect calls
-//      match callee magic taints, returns use the exact CFI sequence (no
-//      direct-jump target inside it or the icall check pattern), branch
+//      match callee magic taints, returns and indirect calls use the exact
+//      CFI sequences, matched at fixed offsets with the jump register bound
+//      to the checked one (no direct-jump target inside either), branch
 //      conditions are public (strict mode), and rejects stray indirect
 //      jumps, rets, or out-of-procedure direct jumps.
 // Verify is deliberately uncached (every warm build and daemon request

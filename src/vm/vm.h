@@ -95,6 +95,8 @@ enum class VmEngine : uint8_t {
 };
 
 const char* EngineName(VmEngine e);
+// Inverse of EngineName ("ref", "fast", "trace"); false on any other name.
+bool ParseEngineName(const std::string& name, VmEngine* out);
 
 struct VmOptions {
   uint32_t num_cores = 4;

@@ -3,7 +3,8 @@
 // operational failure — missing input, unreadable cache dir, malformed
 // injection spec — exits nonzero with a one-line diagnostic, injected
 // chaos never changes emitted bytes, and the injector's hit-count report
-// lands where --inject-report points.
+// lands where --inject-report points. A solo run and the same run through
+// an in-process confccd (--connect) agree on exit code and guest stdout.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -18,6 +19,8 @@
 #include <string>
 #include <vector>
 
+#include "src/service/server.h"
+
 namespace fs = std::filesystem;
 
 namespace {
@@ -28,10 +31,11 @@ struct RunResult {
 };
 
 // Runs the real confcc with `args` through the shell (so env-var prefixes
-// work), capturing both streams.
-RunResult RunConfcc(const std::string& args, const std::string& env = "") {
-  const std::string cmd =
-      env + (env.empty() ? "" : " ") + CONFCC_PATH + " " + args + " 2>&1";
+// work), capturing both streams, or only stdout when `with_stderr` is false.
+RunResult RunConfcc(const std::string& args, const std::string& env = "",
+                    bool with_stderr = true) {
+  const std::string cmd = env + (env.empty() ? "" : " ") + CONFCC_PATH + " " +
+                          args + (with_stderr ? " 2>&1" : " 2>/dev/null");
   RunResult r;
   FILE* pipe = popen(cmd.c_str(), "r");
   EXPECT_NE(pipe, nullptr) << cmd;
@@ -253,6 +257,70 @@ TEST(ConfccCli, ConnectToMissingDaemonFailsWithOneLine) {
   EXPECT_NE(r.output.find("cannot connect to daemon"), std::string::npos)
       << r.output;
   EXPECT_EQ(std::count(r.output.begin(), r.output.end(), '\n'), 1) << r.output;
+}
+
+// A module that fails to compile is reported once: its error line is not
+// repeated by a second per-module listing.
+TEST(ConfccCli, LinkPrintsABrokenModulesErrorOnce) {
+  TempDir dir;
+  const std::string lib = dir.File("lib.mc");
+  const std::string app = dir.File("app.mc");
+  WriteFile(lib, "int helper(int x) { return x + y; }\n");
+  WriteFile(app, "import \"lib\";\nint main() { return helper(1); }\n");
+  const auto r = RunConfcc("--link " + app + " " + lib);
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  const std::string err = "error: undeclared identifier 'y'";
+  const size_t first = r.output.find(err);
+  ASSERT_NE(first, std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find(err, first + 1), std::string::npos) << r.output;
+}
+
+// Solo mode and --connect build the same request: for every preset with and
+// without --verify, on one file and on a two-module --link build, both exit
+// with the guest's return value and print the same guest stdout. (--verify
+// is a no-op for presets ConfVerify does not target, on both paths.)
+TEST(ConfccCli, SoloAndConnectAgreeOnEveryPresetAndVerify) {
+  TempDir dir;
+  const std::string sum = dir.File("sum.mc");
+  WriteFile(sum,
+            "void print_int(int x);\n"
+            "int main() { int s = 0; for (int i = 1; i <= 10; i = i + 1) "
+            "{ s = s + i; print_int(s); } return s; }\n");
+  const std::string lib = dir.File("lib.mc");
+  const std::string app = dir.File("app.mc");
+  WriteFile(lib,
+            "void print_int(int x);\n"
+            "int tri(int n) { int s = 0; for (int i = 1; i <= n; i = i + 1) "
+            "{ s = s + i; } print_int(s); return s; }\n");
+  WriteFile(app, "import \"lib\";\nint main() { return tri(10) + 1; }\n");
+
+  confllvm::ConfccdServer::Options so;
+  so.socket_path = dir.File("d.sock");
+  so.sched.num_workers = 2;
+  confllvm::ConfccdServer server(so);
+  std::string err;
+  ASSERT_TRUE(server.Start(&err)) << err;
+
+  const std::vector<std::pair<std::string, int>> inputs = {
+      {sum, 55}, {"--link " + app + " " + lib, 56}};
+  for (const char* preset :
+       {"Base", "OurCFI", "OurMPX", "OurMPX-Sep", "OurSeg", "ct-mpx"}) {
+    for (const char* verify : {"", " --verify"}) {
+      for (const auto& [input, ret] : inputs) {
+        const std::string args =
+            std::string("--preset=") + preset + verify + " " + input;
+        SCOPED_TRACE(args);
+        const auto solo = RunConfcc(args, "", /*with_stderr=*/false);
+        const auto conn = RunConfcc("--connect=" + so.socket_path + " " + args,
+                                    "", /*with_stderr=*/false);
+        EXPECT_EQ(solo.exit_code, ret);
+        EXPECT_EQ(conn.exit_code, solo.exit_code);
+        EXPECT_EQ(conn.output, solo.output);
+        EXPECT_FALSE(solo.output.empty());
+      }
+    }
+  }
+  server.Stop();
 }
 
 }  // namespace

@@ -359,6 +359,62 @@ TEST_F(ConfccdServiceTest, LinkedImageIsCachedAcrossRequests) {
   server->Stop();
 }
 
+Json ModulesRequest(const std::string& verb, const std::string& lib_source) {
+  Json req = Json::Object();
+  req.Set("verb", Json::Str(verb));
+  Json modules = Json::Array();
+  Json lib = Json::Object();
+  lib.Set("name", Json::Str("lib"));
+  lib.Set("source", Json::Str(lib_source));
+  modules.Append(std::move(lib));
+  Json app = Json::Object();
+  app.Set("name", Json::Str("app"));
+  app.Set("source",
+          Json::Str("import \"lib\";\nint main() { return helper(1); }"));
+  modules.Append(std::move(app));
+  req.Set("modules", std::move(modules));
+  return req;
+}
+
+TEST_F(ConfccdServiceTest, ModuleDiagnosticsAreRenderedOnceOnEveryVerb) {
+  ConfccdServer::Options opts;
+  opts.sched.num_workers = 2;
+  auto server = StartServer(std::move(opts));
+  ConfccdClient cli;
+  std::string err;
+  ASSERT_TRUE(cli.Connect(server->options().socket_path, &err)) << err;
+
+  // A broken module's error appears exactly once in link and execute
+  // responses alike.
+  const std::string line = "error: undeclared identifier 'y'";
+  for (const char* verb : {"link", "execute"}) {
+    SCOPED_TRACE(verb);
+    Json resp;
+    ASSERT_TRUE(cli.CallWithRetry(
+        ModulesRequest(verb, "int helper(int x) { return x + y; }"), &resp,
+        &err))
+        << err;
+    EXPECT_EQ(resp.GetString("status"), "error");
+    const std::string diags = resp.GetString("diagnostics");
+    const size_t first = diags.find(line);
+    ASSERT_NE(first, std::string::npos) << diags;
+    EXPECT_EQ(diags.find(line, first + 1), std::string::npos) << diags;
+  }
+
+  // A successful multi-module execute reports its diagnostics like the
+  // single-source one does (empty for clean modules).
+  Json resp;
+  ASSERT_TRUE(cli.CallWithRetry(
+      ModulesRequest("execute", "int helper(int x) { return x + 1; }"), &resp,
+      &err))
+      << err;
+  ASSERT_EQ(resp.GetString("status"), "ok") << resp.GetString("error");
+  EXPECT_EQ(resp.GetUInt("ret"), 2u);
+  ASSERT_NE(resp.Find("diagnostics"), nullptr);
+  EXPECT_EQ(resp.GetString("diagnostics"), "");
+  server->Stop();
+}
+
 TEST_F(ConfccdServiceTest, BackpressureRejectsAreRetryable) {
   ConfccdServer::Options opts;
   opts.sched.num_workers = 1;

@@ -421,6 +421,74 @@ TEST(VerifierRejects, JumpOntoGuardedIcall) {
       << r.ErrorText();
 }
 
+// ---- CFI checks bound to the register they check ----
+
+// Rewrites the one-word `site` to jump or call through register `reg`.
+void RewriteTargetReg(Binary* bin, const CodeInstr& site, uint8_t reg) {
+  MInstr mi = site.mi;
+  mi.rs1 = reg;
+  std::vector<uint64_t> repl;
+  Encode(mi, &repl);
+  bin->code[site.word] = repl[0];
+}
+
+// Rewrites every `op` in `prog` to each of the other 15 integer registers in
+// turn and counts the rewrites ConfVerify accepts; `rewrites` receives how
+// many were tried.
+size_t AcceptedRegisterRewrites(LoadedProgram* prog, Op op, size_t* rewrites) {
+  size_t accepted = 0;
+  for (const CodeInstr& site : Disassemble(*prog)) {
+    if (site.mi.op != op) {
+      continue;
+    }
+    const uint64_t saved = prog->binary.code[site.word];
+    for (uint8_t reg = 0; reg < kNumIntRegs; ++reg) {
+      if (reg == site.mi.rs1) {
+        continue;
+      }
+      RewriteTargetReg(&prog->binary, site, reg);
+      const VerifyResult r = Verify(*prog);
+      if (r.ok) {
+        ++accepted;
+        ADD_FAILURE() << OpName(op) << " at word " << site.word
+                      << " rewritten to r" << int{reg} << " was accepted";
+      }
+      ++*rewrites;
+    }
+    prog->binary.code[site.word] = saved;
+  }
+  return accepted;
+}
+
+TEST(VerifierRejects, CfiReturnThroughOtherRegister) {
+  // A return must jump through the register its CFI check popped and
+  // compared: the same sequence ending in `jmpreg r5` returns to an address
+  // nobody checked.
+  for (const BuildPreset preset : {BuildPreset::kOurMpx, BuildPreset::kOurSeg}) {
+    DiagEngine diags;
+    auto cp = Compile(kPrograms[2], BuildConfig::For(preset), &diags);
+    ASSERT_NE(cp, nullptr) << diags.ToString();
+    ASSERT_TRUE(Verify(*cp->prog).ok);
+    size_t rewrites = 0;
+    EXPECT_EQ(AcceptedRegisterRewrites(cp->prog.get(), Op::kJmpReg, &rewrites), 0u);
+    EXPECT_EQ(rewrites, 3u * 15u);  // f1, f2 and main each return once
+  }
+}
+
+TEST(VerifierRejects, IndirectCallThroughUncheckedRegister) {
+  // An icall must call through the register whose MCall magic its check
+  // compared (or the one pushed before the check and popped after it).
+  for (const BuildPreset preset : {BuildPreset::kOurMpx, BuildPreset::kOurSeg}) {
+    DiagEngine diags;
+    auto cp = Compile(kPrograms[2], BuildConfig::For(preset), &diags);
+    ASSERT_NE(cp, nullptr) << diags.ToString();
+    ASSERT_TRUE(Verify(*cp->prog).ok);
+    size_t rewrites = 0;
+    EXPECT_EQ(AcceptedRegisterRewrites(cp->prog.get(), Op::kICall, &rewrites), 0u);
+    EXPECT_EQ(rewrites, 2u * 15u);  // main calls through f twice
+  }
+}
+
 // The benchmark workloads' sources: SPEC kernels, the four apps and the
 // serve kernels.
 std::vector<std::pair<std::string, const char*>> WorkloadSources() {
@@ -442,12 +510,14 @@ std::vector<std::pair<std::string, const char*>> WorkloadSources() {
 TEST(VerifierRejects, SeededRetargetLadderOverWorkloads) {
   // Every workload compiles to a verifying binary under both bounds
   // schemes; every seeded rewrite of one of its direct jumps into `jmp` onto
-  // an MPX pointer access, a jmpreg or an icall of the same procedure must
-  // then be rejected.
+  // an MPX pointer access, a jmpreg or an icall of the same procedure, and
+  // every rewrite of a jmpreg or icall to another register, must then be
+  // rejected.
   constexpr int kRetargetsPerOutput = 24;
   Rng rng(0xc0ffee14);
   size_t outputs = 0;
   size_t retargets = 0;
+  size_t reg_rewrites = 0;
   for (const auto& [name, src] : WorkloadSources()) {
     for (const BuildPreset preset : {BuildPreset::kOurMpx, BuildPreset::kOurSeg}) {
       SCOPED_TRACE(name + "/" + PresetName(preset));
@@ -489,9 +559,13 @@ TEST(VerifierRejects, SeededRetargetLadderOverWorkloads) {
         prog.binary.code[jump.word] = saved;
         ++retargets;
       }
+      // And every jmpreg / icall rewritten to each other register.
+      EXPECT_EQ(AcceptedRegisterRewrites(&prog, Op::kJmpReg, &reg_rewrites), 0u);
+      EXPECT_EQ(AcceptedRegisterRewrites(&prog, Op::kICall, &reg_rewrites), 0u);
     }
   }
   EXPECT_GE(retargets, outputs * kRetargetsPerOutput / 2);
+  EXPECT_GE(reg_rewrites, outputs * 15);
 }
 
 }  // namespace

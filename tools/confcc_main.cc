@@ -32,6 +32,14 @@
 // cold and warm runs, which is what the CI disk-cache job diffs.
 // In single-preset mode --jobs=N shards per-function codegen emission.
 //
+// Every mode starts from one BuildRequest (src/driver/build_request.h):
+// single-file and --link builds go through Build(), the path the confccd
+// verbs take too; --preset=all on one file compiles PresetSweepJobs
+// concurrently under the same config rule; --connect sends the request to a
+// confccd as an `execute`. --verify runs ConfVerify only for the presets it
+// targets (WantsVerify: not Base…OurCFI or OurMPX-Sep), the same on every
+// path, and prints a `confverify: ok|REJECTED` line when it ran.
+//
 // Resilience/chaos flags (ARCHITECTURE.md "Failure model and degradation
 // ladder"): --inject-faults=SPEC arms the deterministic fault injector
 // (spec syntax in src/support/fault_injection.h — e.g.
@@ -49,36 +57,17 @@
 #include <sstream>
 
 #include "src/driver/artifact_cache.h"
-#include "src/driver/build_graph.h"
-#include "src/driver/confcc.h"
+#include "src/driver/build_request.h"
 #include "src/driver/disk_cache.h"
-#include "src/driver/pipeline.h"
 #include "src/isa/binary.h"
 #include "src/service/client.h"
 #include "src/service/protocol.h"
 #include "src/support/fault_injection.h"
 #include "src/vm/trace_tier.h"
-#include "src/verifier/verifier.h"
 
 using namespace confllvm;
 
 namespace {
-
-bool ParsePreset(const std::string& name, BuildPreset* out) {
-  for (BuildPreset p : kAllBuildPresets) {
-    if (name == PresetName(p)) {
-      *out = p;
-      return true;
-    }
-  }
-  for (BuildPreset p : kCtBuildPresets) {
-    if (name == PresetName(p)) {
-      *out = p;
-      return true;
-    }
-  }
-  return false;
-}
 
 int Usage() {
   fprintf(stderr,
@@ -103,16 +92,16 @@ int Usage() {
 }
 
 struct Options {
-  BuildPreset preset = BuildPreset::kOurMpx;
+  // --preset, --all-private and --verify, plus the inputs (ReadInputs):
+  // what solo mode builds and --connect sends.
+  BuildRequest req;
   bool sweep = false;  // --preset=all
   std::string entry = "main";
   std::vector<uint64_t> args;
-  bool verify = false;
   bool disasm = false;
   bool stats = false;
   bool time_passes = false;
   unsigned jobs = 0;  // 0 = hardware concurrency
-  bool all_private = false;
   bool incremental = false;   // compile through the artifact cache
   bool cache_stats = false;   // print the cache counters row (implies cache)
   size_t cache_bytes = 0;     // artifact-cache byte cap, 0 = unbounded
@@ -127,8 +116,7 @@ struct Options {
   bool link = false;          // multi-module build-graph mode
   std::string graph_stats_json;  // write BuildGraphStats JSON here (--link)
   std::string connect;        // --connect=SOCK: forward verbs to a confccd
-  std::string file;
-  std::vector<std::string> files;  // all positional args (--link modules)
+  std::vector<std::string> files;  // positional args (--link: the modules)
 
   // Byte caps / stats outputs only make sense with a cache, so every cache
   // flag implies one.
@@ -137,6 +125,50 @@ struct Options {
            !cache_dir.empty() || !cache_stats_json.empty();
   }
 };
+
+// Writes `bytes` (a std::string or byte vector) to `path`, truncating; false
+// after a one-line diagnostic.
+template <typename Bytes>
+bool WriteOutput(const std::string& path, const Bytes& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out || !out.write(reinterpret_cast<const char*>(bytes.data()),
+                         static_cast<std::streamsize>(bytes.size()))) {
+    fprintf(stderr, "confcc: cannot write %s\n", path.c_str());
+    return false;
+  }
+  return true;
+}
+
+// Reads the input files into the request: the one file as its source, or
+// under --link every file as a module named after its basename.
+bool ReadInputs(Options* opt) {
+  for (const std::string& f : opt->files) {
+    std::ifstream in(f);
+    if (!in) {
+      fprintf(stderr, "confcc: cannot open %s\n", f.c_str());
+      return false;
+    }
+    std::stringstream buf;
+    buf << in.rdbuf();
+    if (in.bad()) {
+      fprintf(stderr, "confcc: error reading %s\n", f.c_str());
+      return false;
+    }
+    if (!opt->link) {
+      opt->req.source = buf.str();
+      continue;
+    }
+    // a/b/foo.mc -> "foo": the module name `import "foo"` resolves to.
+    const size_t slash = f.find_last_of('/');
+    std::string name = slash == std::string::npos ? f : f.substr(slash + 1);
+    const size_t dot = name.find_last_of('.');
+    if (dot != std::string::npos && dot != 0) {
+      name.resize(dot);
+    }
+    opt->req.modules.push_back({std::move(name), buf.str()});
+  }
+  return true;
+}
 
 // Builds the cache the options ask for, attaching the disk tier when
 // --cache-dir was given. Null when no cache flag is set; also null (after a
@@ -166,39 +198,12 @@ bool ReportCacheStats(const ArtifactCache& cache, const Options& opt) {
   if (opt.cache_stats) {
     fputs(cs.ToRow().c_str(), stderr);
   }
-  if (!opt.cache_stats_json.empty()) {
-    std::ofstream out(opt.cache_stats_json, std::ios::trunc);
-    if (!out) {
-      fprintf(stderr, "confcc: cannot write %s\n", opt.cache_stats_json.c_str());
-      return false;
-    }
-    out << cs.ToJson();
-  }
-  return true;
+  return opt.cache_stats_json.empty() ||
+         WriteOutput(opt.cache_stats_json, cs.ToJson());
 }
 
 bool EmitBinary(const Binary& bin, const std::string& path) {
-  const std::vector<uint8_t> blob = SerializeBinary(bin);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    fprintf(stderr, "confcc: cannot write %s\n", path.c_str());
-    return false;
-  }
-  out.write(reinterpret_cast<const char*>(blob.data()),
-            static_cast<std::streamsize>(blob.size()));
-  return static_cast<bool>(out);
-}
-
-BuildConfig ConfigFor(BuildPreset preset, const Options& opt) {
-  BuildConfig config = BuildConfig::For(preset);
-  config.sema.all_private = opt.all_private;
-  if (opt.all_private) {
-    config.sema.implicit_flows = ImplicitFlowMode::kWarn;
-  }
-  // Sweep and single-file compiles are whole-program; --link rebuilds its
-  // own per-module configs (BuildScheduler) which never set this.
-  config.whole_program = true;
-  return config;
+  return WriteOutput(path, SerializeBinary(bin));
 }
 
 // Runs `entry` of one compiled program; returns false on fault. `quiet`
@@ -215,18 +220,15 @@ bool RunProgram(std::unique_ptr<CompiledProgram> compiled, const Options& opt,
   auto s = MakeSessionFor(std::move(compiled), vm_opts);
   auto r = s->vm->Call(opt.entry, opt.args);
   if (!opt.trace_stats_json.empty()) {
-    const std::string path = label.empty()
-                                 ? opt.trace_stats_json
-                                 : opt.trace_stats_json + "." + label;
-    std::ofstream out(path, std::ios::trunc);
-    if (!out) {
-      fprintf(stderr, "confcc: cannot write %s\n", path.c_str());
-      return false;
-    }
     // Engines below kTrace have no tier; an empty telemetry object keeps the
     // sink well-formed for whoever diffs it.
     const TraceTier* tt = s->vm->trace_tier();
-    out << (tt != nullptr ? tt->Telemetry().ToJson() : TraceTierStats{}.ToJson());
+    if (!WriteOutput(label.empty() ? opt.trace_stats_json
+                                   : opt.trace_stats_json + "." + label,
+                     tt != nullptr ? tt->Telemetry().ToJson()
+                                   : TraceTierStats{}.ToJson())) {
+      return false;
+    }
   }
   if (!r.ok) {
     fprintf(stderr, "confcc: %s faulted: %s (%s)\n", opt.entry.c_str(),
@@ -236,13 +238,13 @@ bool RunProgram(std::unique_ptr<CompiledProgram> compiled, const Options& opt,
   if (!s->tlib->stdout_text().empty()) {
     fputs(s->tlib->stdout_text().c_str(), stdout);
   }
+  if (cycles_out != nullptr) {
+    *cycles_out = r.cycles;
+  }
+  if (ret_out != nullptr) {
+    *ret_out = r.ret;
+  }
   if (quiet) {
-    if (cycles_out != nullptr) {
-      *cycles_out = r.cycles;
-    }
-    if (ret_out != nullptr) {
-      *ret_out = r.ret;
-    }
     return true;
   }
   fprintf(stderr, "confcc: %s() = %lld  (%llu instructions, %llu cycles",
@@ -258,35 +260,20 @@ bool RunProgram(std::unique_ptr<CompiledProgram> compiled, const Options& opt,
             static_cast<unsigned long long>(vs.cache_miss_cycles));
   }
   fprintf(stderr, ")\n");
-  if (cycles_out != nullptr) {
-    *cycles_out = r.cycles;
-  }
-  if (ret_out != nullptr) {
-    *ret_out = r.ret;
-  }
   return true;
 }
 
-// --preset=all: compile every configuration concurrently, then run each.
-int RunSweep(const std::string& source, const Options& opt) {
-  std::vector<BatchJob> jobs;
-  for (const BuildPreset p : kAllBuildPresets) {
-    BatchJob job;
-    job.label = PresetName(p);
-    job.source = source;
-    job.config = ConfigFor(p, opt);
-    // ConfVerify targets fully-instrumented secure binaries; skip for
-    // Base-like presets and the single-stack OurMPX-Sep ablation even under
-    // --verify (mirrors the paper's threat model).
-    job.verify = opt.verify && WantsVerify(job.config);
-    jobs.push_back(std::move(job));
-  }
+// --preset=all on one file: compile every configuration concurrently, then
+// run each.
+int RunSweep(const Options& opt) {
   bool cache_error = false;
   std::unique_ptr<ArtifactCache> cache = MakeCache(opt, &cache_error);
   if (cache_error) {
     return 1;
   }
-  auto outcomes = CompileBatch(jobs, opt.jobs, cache.get());
+  auto outcomes = CompileBatch(
+      PresetSweepJobs(opt.req.source, opt.req.verify, opt.req.all_private),
+      opt.jobs, cache.get());
 
   int failures = 0;
   if (opt.time_passes) {
@@ -334,172 +321,118 @@ int RunSweep(const std::string& source, const Options& opt) {
   return failures == 0 ? 0 : 1;
 }
 
-// ---- Multi-module build-graph mode (--link) ----
-
-// a/b/foo.mc -> "foo": the module name `import "foo"` resolves to.
-std::string ModuleNameOf(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  std::string base = slash == std::string::npos ? path : path.substr(slash + 1);
-  const size_t dot = base.find_last_of('.');
-  return dot == std::string::npos || dot == 0 ? base : base.substr(0, dot);
+// Prints what one build reports on stderr: its diagnostics, the stage
+// tables under --time-passes, the ConfVerify verdict when it ran, and on
+// success a one-line summary of the program.
+void ReportBuild(const BuildResult& r, const Options& opt) {
+  fputs(r.diagnostics.c_str(), stderr);
+  if (opt.time_passes) {
+    if (!opt.link) {
+      fputs(r.stats.ToTable().c_str(), stderr);
+    }
+    for (const ModuleOutcome& mo : r.modules) {
+      if (mo.invocation != nullptr) {
+        fprintf(stderr, "-- module %s --\n%s", mo.name.c_str(),
+                mo.invocation->stats().ToTable().c_str());
+      }
+    }
+  }
+  if (r.verify_result != nullptr) {
+    fprintf(stderr, "confverify%s: %s (%zu procedures, %zu instructions)\n",
+            opt.link ? "(link)" : "", r.verify_result->ok ? "ok" : "REJECTED",
+            r.verify_result->procedures, r.verify_result->instructions);
+  }
+  if (!r.ok) {
+    return;
+  }
+  const Binary& bin = r.program->prog->binary;
+  if (opt.link) {
+    fprintf(stderr,
+            "conflink: %zu modules in %zu waves -> %zu code words, %zu "
+            "functions, %zu cross-module call sites\n",
+            r.graph.modules, r.graph.waves, r.graph.link.code_words,
+            r.graph.link.functions, r.graph.link.resolved_call_sites);
+  } else {
+    fprintf(stderr,
+            "confcc: %s: %zu code words, %zu functions, %zu imports [%s, %s]\n",
+            opt.files[0].c_str(), bin.code.size(), bin.functions.size(),
+            bin.imports.size(), PresetName(r.program->config.preset),
+            OptLevelName(r.program->config.opt_level));
+  }
 }
 
-// Compiles the graph under one preset (waves through the shared cache),
-// links, loads, and optionally verifies. Prints per-module and link/verify
-// diagnostics; returns the runnable program (null on failure).
-std::unique_ptr<CompiledProgram> BuildLinked(const BuildGraph& graph,
-                                             const BuildConfig& config,
-                                             const Options& opt,
-                                             ArtifactCache* cache,
-                                             BuildGraphStats* stats_out) {
-  BuildScheduler::Options sopts;
-  sopts.num_workers = opt.jobs;
-  sopts.verify = opt.verify && WantsVerify(config);
-  BuildScheduler sched(&graph, config, sopts);
-  LinkedBuild build = sched.Run(cache);
-  if (stats_out != nullptr) {
-    *stats_out = build.stats;
-  }
-  for (const ModuleOutcome& mo : build.modules) {
-    if (mo.invocation != nullptr && !mo.invocation->diags().diagnostics().empty()) {
-      fprintf(stderr, "-- module %s --\n%s", mo.name.c_str(),
-              mo.invocation->diags().ToString().c_str());
-    }
-    if (opt.time_passes && mo.invocation != nullptr) {
-      fprintf(stderr, "-- module %s --\n%s", mo.name.c_str(),
-              mo.invocation->stats().ToTable().c_str());
-    }
-  }
-  fputs(build.diags.ToString().c_str(), stderr);
-  if (opt.verify && build.verify_result != nullptr) {
-    fprintf(stderr, "confverify(link): %s (%zu procedures, %zu instructions)\n",
-            build.verify_result->ok ? "ok" : "REJECTED",
-            build.verify_result->procedures, build.verify_result->instructions);
-  }
-  if (!build.ok) {
-    return nullptr;
-  }
-  fprintf(stderr,
-          "conflink: %zu modules in %zu waves -> %zu code words, %zu functions, "
-          "%zu cross-module call sites\n",
-          build.stats.modules, build.stats.waves, build.stats.link.code_words,
-          build.stats.link.functions, build.stats.link.resolved_call_sites);
-  auto cp = std::make_unique<CompiledProgram>();
-  cp->config = config;
-  cp->prog = std::move(build.prog);
-  return cp;
-}
-
-bool WriteGraphStats(const std::string& path, const std::string& json) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    fprintf(stderr, "confcc: cannot write %s\n", path.c_str());
-    return false;
-  }
-  out << json;
-  return true;
-}
-
-int RunLink(const Options& opt) {
-  DiagEngine gdiags;
-  BuildGraph graph;
-  for (const std::string& f : opt.files) {
-    std::ifstream in(f);
-    if (!in) {
-      fprintf(stderr, "confcc: cannot open %s\n", f.c_str());
-      return 1;
-    }
-    std::stringstream buf;
-    buf << in.rdbuf();
-    if (in.bad()) {
-      fprintf(stderr, "confcc: error reading %s\n", f.c_str());
-      return 1;
-    }
-    if (!graph.AddModule(ModuleNameOf(f), buf.str(), &gdiags)) {
-      fputs(gdiags.ToString().c_str(), stderr);
-      return 1;
-    }
-  }
+// Single-file and --link builds: one Build() per preset (every preset under
+// --link --preset=all), each reported and run. The exit code of a
+// single-preset run is the guest's return value & 0xff.
+int RunBuilds(const Options& opt) {
   bool cache_error = false;
   std::unique_ptr<ArtifactCache> cache = MakeCache(opt, &cache_error);
   if (cache_error) {
     return 1;
   }
-  // Interface extraction and parse keys are preset-independent; any preset's
-  // config carries the sema defaults Finalize needs.
-  const BuildConfig fin_cfg =
-      ConfigFor(opt.sweep ? BuildPreset::kOurMpx : opt.preset, opt);
-  if (!graph.Finalize(fin_cfg, &gdiags, cache.get(), opt.jobs)) {
-    fputs(gdiags.ToString().c_str(), stderr);
-    return 1;
-  }
-
-  int rc = 0;
+  BuildOptions bopts;
+  bopts.cache = cache.get();
+  // --jobs shards per-function codegen emission of a single file (0 =
+  // hardware concurrency; output is bit-identical for any value) and sizes
+  // the build graph's waves under --link.
+  bopts.codegen_jobs = opt.jobs;
+  bopts.build_jobs = opt.jobs;
   if (opt.time_passes) {
     fprintf(stderr, "vm engine: %s\n", EngineName(opt.engine));
   }
+
+  int rc = 0;
   std::string graph_json;
   if (opt.sweep) {
     int failures = 0;
+    BuildRequest req = opt.req;
     graph_json = "[\n";
     fprintf(stderr, "%-12s%8s%14s\n", "preset", "ok", "cycles");
-    constexpr size_t kNumPresets =
-        sizeof(kAllBuildPresets) / sizeof(kAllBuildPresets[0]);
-    for (size_t pi = 0; pi < kNumPresets; ++pi) {
-      const BuildPreset p = kAllBuildPresets[pi];
-      BuildGraphStats stats;
-      auto compiled =
-          BuildLinked(graph, ConfigFor(p, opt), opt, cache.get(), &stats);
-      graph_json += std::string("{\"preset\": \"") + PresetName(p) +
-                    "\", \"graph\": " + stats.ToJson() + "}";
-      graph_json += pi + 1 == kNumPresets ? "\n" : ",\n";
-      if (compiled == nullptr) {
-        ++failures;
-        fprintf(stderr, "%-12s%8s\n", PresetName(p), "FAIL");
-        continue;
+    for (const BuildPreset p : kAllBuildPresets) {
+      req.preset = p;
+      BuildResult r = Build(req, bopts);
+      ReportBuild(r, opt);
+      if (r.graph.per_module.empty()) {
+        return 1;  // the graph itself is broken: every preset fails alike
       }
-      if (!opt.emit_bin.empty() &&
-          !EmitBinary(compiled->prog->binary,
-                      SweepEmitPath(opt.emit_bin, PresetName(p)))) {
-        ++failures;
-        continue;
-      }
+      graph_json += std::string(p == kAllBuildPresets[0] ? "" : ",\n") +
+                    "{\"preset\": \"" + PresetName(p) +
+                    "\", \"graph\": " + r.graph.ToJson() + "}";
       uint64_t cycles = 0;
-      if (!RunProgram(std::move(compiled), opt, &cycles, nullptr, /*quiet=*/true,
-                      PresetName(p))) {
-        ++failures;
+      if (r.ok &&
+          (opt.emit_bin.empty() ||
+           EmitBinary(r.program->prog->binary,
+                      SweepEmitPath(opt.emit_bin, PresetName(p)))) &&
+          RunProgram(std::move(r.program), opt, &cycles, nullptr,
+                     /*quiet=*/true, PresetName(p))) {
+        fprintf(stderr, "%-12s%8s%14llu\n", PresetName(p), "ok",
+                static_cast<unsigned long long>(cycles));
         continue;
       }
-      fprintf(stderr, "%-12s%8s%14llu\n", PresetName(p), "ok",
-              static_cast<unsigned long long>(cycles));
+      ++failures;
+      if (!r.ok) {
+        fprintf(stderr, "%-12s%8s\n", PresetName(p), "FAIL");
+      }
     }
-    graph_json += "]\n";
+    graph_json += "\n]\n";
     rc = failures == 0 ? 0 : 1;
   } else {
-    BuildGraphStats stats;
-    auto compiled = BuildLinked(graph, ConfigFor(opt.preset, opt), opt,
-                                cache.get(), &stats);
-    graph_json = stats.ToJson();
-    if (compiled == nullptr) {
-      rc = 1;
-    } else {
-      if (opt.disasm) {
-        fputs(Disassemble(compiled->prog->binary).c_str(), stdout);
-      }
-      if (!opt.emit_bin.empty() &&
-          !EmitBinary(compiled->prog->binary, opt.emit_bin)) {
-        rc = 1;
-      } else {
-        uint64_t cycles = 0;
-        uint64_t ret = 0;
-        rc = RunProgram(std::move(compiled), opt, &cycles, &ret)
-                 ? static_cast<int>(ret & 0xff)
-                 : 1;
-      }
+    BuildResult r = Build(opt.req, bopts);
+    ReportBuild(r, opt);
+    graph_json = r.graph.ToJson();
+    if (r.ok && opt.disasm) {
+      fputs(Disassemble(r.program->prog->binary).c_str(), stdout);
     }
+    uint64_t ret = 0;
+    rc = r.ok &&
+                 (opt.emit_bin.empty() ||
+                  EmitBinary(r.program->prog->binary, opt.emit_bin)) &&
+                 RunProgram(std::move(r.program), opt, nullptr, &ret)
+             ? static_cast<int>(ret & 0xff)
+             : 1;
   }
-  if (!opt.graph_stats_json.empty() &&
-      !WriteGraphStats(opt.graph_stats_json, graph_json)) {
+  if (opt.link && !opt.graph_stats_json.empty() &&
+      !WriteOutput(opt.graph_stats_json, graph_json)) {
     return 1;
   }
   if (cache != nullptr && !ReportCacheStats(*cache, opt)) {
@@ -512,8 +445,9 @@ int RunLink(const Options& opt) {
 //
 // Forwards the CLI verbs to a running confccd (tools/confccd_main.cc) over
 // its Unix socket, so this invocation compiles against the daemon's warm
-// shared cache instead of a cold private one. The daemon owns the cache
-// tiers: client-local cache configuration under --connect is a
+// shared cache instead of a cold private one. The request is the same
+// BuildRequest solo mode would build, sent as an `execute`. The daemon owns
+// the cache tiers: client-local cache configuration under --connect is a
 // contradiction, not a preference — rather than silently compiling against
 // a client-local tier (cold every run, invisible to the daemon's stats),
 // the conflict is a one-line nonzero-exit diagnostic.
@@ -531,66 +465,23 @@ int FetchDaemonStats(ConfccdClient& client, const Options& opt) {
   if (opt.cache_stats) {
     fputs(resp.GetString("cache_row").c_str(), stderr);
   }
-  if (!opt.cache_stats_json.empty()) {
-    std::ofstream out(opt.cache_stats_json, std::ios::trunc);
-    if (!out) {
-      fprintf(stderr, "confcc: cannot write %s\n", opt.cache_stats_json.c_str());
-      return 1;
-    }
-    out << resp.GetString("cache_json");
+  if (!opt.cache_stats_json.empty() &&
+      !WriteOutput(opt.cache_stats_json, resp.GetString("cache_json"))) {
+    return 1;
   }
   return 0;
 }
 
+// The one client-local cache flag --connect contradicts, or null.
+const char* ConnectConflict(const Options& opt) {
+  return !opt.cache_dir.empty()        ? "--cache-dir"
+         : opt.cache_bytes != 0        ? "--cache-bytes"
+         : opt.cache_disk_bytes != 0   ? "--cache-disk-bytes"
+         : opt.incremental             ? "--incremental"
+                                       : nullptr;
+}
+
 int RunConnect(const Options& opt) {
-  // The satellite contract: --cache-dir (and friends) name a *client-local*
-  // cache location while --connect hands compilation to a daemon with its
-  // own tiers. Disagreeing silently would compile cold and lie about it.
-  if (!opt.cache_dir.empty() || opt.cache_bytes != 0 ||
-      opt.cache_disk_bytes != 0 || opt.incremental) {
-    const char* flag = !opt.cache_dir.empty()           ? "--cache-dir"
-                       : opt.cache_bytes != 0           ? "--cache-bytes"
-                       : opt.cache_disk_bytes != 0      ? "--cache-disk-bytes"
-                                                        : "--incremental";
-    fprintf(stderr,
-            "confcc: %s conflicts with --connect=%s: the daemon owns the "
-            "cache tiers; drop %s or run without --connect\n",
-            flag, opt.connect.c_str(), flag);
-    return 2;
-  }
-
-  // Read the inputs before dialing out — a missing file should not cost a
-  // round trip (and keeps the error messages identical to solo mode).
-  std::vector<std::pair<std::string, std::string>> modules;  // name, source
-  std::string source;
-  if (!opt.files.empty()) {
-    if (!opt.link && opt.files.size() > 1) {
-      fprintf(stderr,
-              "confcc: %zu input files given without --link; pass --link to "
-              "build them as modules\n",
-              opt.files.size());
-      return Usage();
-    }
-    for (const std::string& f : opt.files) {
-      std::ifstream in(f);
-      if (!in) {
-        fprintf(stderr, "confcc: cannot open %s\n", f.c_str());
-        return 1;
-      }
-      std::stringstream buf;
-      buf << in.rdbuf();
-      if (in.bad()) {
-        fprintf(stderr, "confcc: error reading %s\n", f.c_str());
-        return 1;
-      }
-      if (opt.link) {
-        modules.emplace_back(ModuleNameOf(f), buf.str());
-      } else {
-        source = buf.str();
-      }
-    }
-  }
-
   ConfccdClient client;
   std::string err;
   if (!client.Connect(opt.connect, &err)) {
@@ -606,34 +497,20 @@ int RunConnect(const Options& opt) {
     return FetchDaemonStats(client, opt);
   }
 
-  auto make_req = [&](const char* preset_name) {
+  // Runs one preset through the daemon. Returns the process exit code for
+  // single mode; sweep mode treats nonzero as a failure and keeps going.
+  auto run_one = [&](BuildPreset preset, bool quiet,
+                     uint64_t* cycles_out) -> int {
     Json req = Json::Object();
     req.Set("verb", Json::Str("execute"));
-    req.Set("preset", Json::Str(preset_name));
-    if (!modules.empty()) {
-      Json mods = Json::Array();
-      for (const auto& m : modules) {
-        Json jm = Json::Object();
-        jm.Set("name", Json::Str(m.first));
-        jm.Set("source", Json::Str(m.second));
-        mods.Append(std::move(jm));
-      }
-      req.Set("modules", std::move(mods));
-    } else {
-      req.Set("source", Json::Str(source));
-    }
+    BuildRequestToJson(opt.req, &req);
+    req.Set("preset", Json::Str(PresetName(preset)));
     req.Set("entry", Json::Str(opt.entry));
     Json args = Json::Array();
     for (const uint64_t a : opt.args) {
       args.Append(Json::UInt(a));
     }
     req.Set("args", std::move(args));
-    if (opt.verify) {
-      req.Set("verify", Json::Bool(true));
-    }
-    if (opt.all_private) {
-      req.Set("all_private", Json::Bool(true));
-    }
     req.Set("engine", Json::Str(EngineName(opt.engine)));
     req.Set("trace_threshold", Json::UInt(opt.trace_threshold));
     if (opt.deadline_ms != 0) {
@@ -642,16 +519,9 @@ int RunConnect(const Options& opt) {
     if (!opt.emit_bin.empty()) {
       req.Set("want_bin", Json::Bool(true));
     }
-    return req;
-  };
-
-  // Runs one preset through the daemon. Returns the process exit code for
-  // single mode; sweep mode treats nonzero as a failure and keeps going.
-  auto run_one = [&](const char* preset_name, bool quiet,
-                     uint64_t* cycles_out) -> int {
     Json resp;
     int retries = 0;
-    if (!client.CallWithRetry(make_req(preset_name), &resp, &err,
+    if (!client.CallWithRetry(std::move(req), &resp, &err,
                               /*max_attempts=*/10, &retries)) {
       // Retryable exhaustion (sustained backpressure): EX_TEMPFAIL so
       // callers/scripts can distinguish "try later" from a hard failure.
@@ -671,13 +541,9 @@ int RunConnect(const Options& opt) {
         fprintf(stderr, "confcc: daemon returned a malformed binary\n");
         return 1;
       }
-      const std::string path =
-          quiet ? SweepEmitPath(opt.emit_bin, preset_name) : opt.emit_bin;
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      if (!out ||
-          !out.write(reinterpret_cast<const char*>(blob.data()),
-                     static_cast<std::streamsize>(blob.size()))) {
-        fprintf(stderr, "confcc: cannot write %s\n", path.c_str());
+      if (!WriteOutput(quiet ? SweepEmitPath(opt.emit_bin, PresetName(preset))
+                             : opt.emit_bin,
+                       blob)) {
         return 1;
       }
     }
@@ -707,7 +573,7 @@ int RunConnect(const Options& opt) {
     fprintf(stderr, "%-12s%8s%14s\n", "preset", "ok", "cycles");
     for (const BuildPreset p : kAllBuildPresets) {
       uint64_t cycles = 0;
-      if (run_one(PresetName(p), /*quiet=*/true, &cycles) != 0) {
+      if (run_one(p, /*quiet=*/true, &cycles) != 0) {
         ++failures;
         fprintf(stderr, "%-12s%8s\n", PresetName(p), "FAIL");
         continue;
@@ -717,7 +583,7 @@ int RunConnect(const Options& opt) {
     }
     rc = failures == 0 ? 0 : 1;
   } else {
-    rc = run_one(PresetName(opt.preset), /*quiet=*/false, nullptr);
+    rc = run_one(opt.req.preset, /*quiet=*/false, nullptr);
   }
 
   if (opt.cache_stats || !opt.cache_stats_json.empty()) {
@@ -742,7 +608,7 @@ int Main(int argc, char** argv) {
       const std::string name = a.substr(9);
       if (name == "all") {
         opt.sweep = true;
-      } else if (!ParsePreset(name, &opt.preset)) {
+      } else if (!ParsePresetName(name, &opt.req.preset)) {
         fprintf(stderr, "unknown preset '%s'\n", name.c_str());
         return Usage();
       }
@@ -781,13 +647,7 @@ int Main(int argc, char** argv) {
       opt.connect = a.substr(10);
     } else if (a.rfind("--engine=", 0) == 0) {
       const std::string name = a.substr(9);
-      if (name == "ref") {
-        opt.engine = VmEngine::kRef;
-      } else if (name == "fast") {
-        opt.engine = VmEngine::kFast;
-      } else if (name == "trace") {
-        opt.engine = VmEngine::kTrace;
-      } else {
+      if (!ParseEngineName(name, &opt.engine)) {
         fprintf(stderr, "unknown engine '%s' (expected ref, fast or trace)\n",
                 name.c_str());
         return Usage();
@@ -811,7 +671,7 @@ int Main(int argc, char** argv) {
     } else if (a == "--cache-stats") {
       opt.cache_stats = true;
     } else if (a == "--verify") {
-      opt.verify = true;
+      opt.req.verify = true;
     } else if (a == "--disasm") {
       opt.disasm = true;
     } else if (a == "--stats") {
@@ -819,103 +679,43 @@ int Main(int argc, char** argv) {
     } else if (a == "--time-passes") {
       opt.time_passes = true;
     } else if (a == "--all-private") {
-      opt.all_private = true;
+      opt.req.all_private = true;
     } else if (a[0] == '-') {
       return Usage();
     } else {
-      opt.file = a;
       opt.files.push_back(a);
     }
   }
   if (!opt.connect.empty()) {
-    // Daemon client mode: inputs optional (stats-only queries have none);
-    // RunConnect validates its own argument combinations.
-    return RunConnect(opt);
-  }
-  if (opt.file.empty()) {
+    // --cache-dir (and friends) name a *client-local* cache location while
+    // --connect hands compilation to a daemon with its own tiers.
+    // Disagreeing silently would compile cold and lie about it.
+    if (const char* flag = ConnectConflict(opt); flag != nullptr) {
+      fprintf(stderr,
+              "confcc: %s conflicts with --connect=%s: the daemon owns the "
+              "cache tiers; drop %s or run without --connect\n",
+              flag, opt.connect.c_str(), flag);
+      return 2;
+    }
+  } else if (opt.files.empty()) {
     return Usage();
   }
-  if (opt.link) {
-    return RunLink(opt);
-  }
-  if (opt.files.size() > 1) {
+  if (!opt.link && opt.files.size() > 1) {
     fprintf(stderr,
             "confcc: %zu input files given without --link; pass --link to "
             "build them as modules\n",
             opt.files.size());
     return Usage();
   }
-
-  std::ifstream in(opt.file);
-  if (!in) {
-    fprintf(stderr, "confcc: cannot open %s\n", opt.file.c_str());
+  // Inputs are read before dialing out: a missing file costs no round trip
+  // and reports exactly as in solo mode.
+  if (!ReadInputs(&opt)) {
     return 1;
   }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  if (in.bad()) {
-    fprintf(stderr, "confcc: error reading %s\n", opt.file.c_str());
-    return 1;
+  if (!opt.connect.empty()) {
+    return RunConnect(opt);
   }
-
-  if (opt.sweep) {
-    return RunSweep(buf.str(), opt);
-  }
-
-  BuildConfig config = ConfigFor(opt.preset, opt);
-  // Single-preset mode: --jobs shards per-function codegen emission (0 =
-  // hardware concurrency, matching the sweep's worker semantics; output is
-  // bit-identical for any value).
-  config.codegen_jobs = opt.jobs;
-  bool cache_error = false;
-  std::unique_ptr<ArtifactCache> cache = MakeCache(opt, &cache_error);
-  if (cache_error) {
-    return 1;
-  }
-  CompilerInvocation inv(buf.str(), config);
-  inv.set_cache(cache.get());
-  const bool ok = RunStandardPipeline(&inv);
-  fputs(inv.diags().ToString().c_str(), stderr);
-  if (opt.time_passes) {
-    fputs(inv.stats().ToTable().c_str(), stderr);
-    fprintf(stderr, "vm engine: %s\n", EngineName(opt.engine));
-  }
-  if (cache != nullptr && !ReportCacheStats(*cache, opt)) {
-    return 1;
-  }
-  if (!ok) {
-    return 1;
-  }
-  auto compiled = inv.TakeProgram();
-  fprintf(stderr, "confcc: %s: %zu code words, %zu functions, %zu imports [%s, %s]\n",
-          opt.file.c_str(), compiled->prog->binary.code.size(),
-          compiled->prog->binary.functions.size(),
-          compiled->prog->binary.imports.size(), PresetName(opt.preset),
-          OptLevelName(inv.config().opt_level));
-
-  if (opt.disasm) {
-    fputs(Disassemble(compiled->prog->binary).c_str(), stdout);
-  }
-  if (!opt.emit_bin.empty() &&
-      !EmitBinary(compiled->prog->binary, opt.emit_bin)) {
-    return 1;
-  }
-  if (opt.verify) {
-    VerifyResult v = Verify(*compiled->prog);
-    fprintf(stderr, "confverify: %s (%zu procedures, %zu instructions)\n",
-            v.ok ? "ok" : "REJECTED", v.procedures, v.instructions);
-    if (!v.ok) {
-      fputs(v.ErrorText().c_str(), stderr);
-      return 1;
-    }
-  }
-
-  uint64_t cycles = 0;
-  uint64_t ret = 0;
-  if (!RunProgram(std::move(compiled), opt, &cycles, &ret)) {
-    return 1;
-  }
-  return static_cast<int>(ret & 0xff);
+  return opt.sweep && !opt.link ? RunSweep(opt) : RunBuilds(opt);
 }
 
 }  // namespace
@@ -941,14 +741,9 @@ int main(int argc, char** argv) {
     fprintf(stderr, "confcc: fatal: unknown error\n");
     rc = 1;
   }
-  if (!g_inject_report.empty()) {
-    std::ofstream out(g_inject_report, std::ios::trunc);
-    if (out) {
-      out << FaultInjector::Instance().ReportJson();
-    } else {
-      fprintf(stderr, "confcc: cannot write %s\n", g_inject_report.c_str());
-      rc = rc == 0 ? 1 : rc;
-    }
+  if (!g_inject_report.empty() &&
+      !WriteOutput(g_inject_report, FaultInjector::Instance().ReportJson())) {
+    rc = rc == 0 ? 1 : rc;
   }
   return rc;
 }
